@@ -255,7 +255,6 @@ pub(crate) fn capture_observability<M: Send + 'static>(
         orphaned: rec.orphaned(),
         hists: rec
             .hists()
-            .iter()
             .into_iter()
             .map(|(k, h)| (k.to_string(), h.clone()))
             .collect(),
@@ -661,16 +660,8 @@ fn elan_thread_collective(
         .with_partition(cfg.partition.clone());
     let members = cfg.members(n);
     let mut apps: Vec<Option<Box<dyn ElanApp>>> = (0..n).map(|_| None).collect();
-    for &node in members.iter() {
-        let contribs: Vec<u64> = (0..cfg.total())
-            .map(|e| {
-                let rank = members
-                    .iter()
-                    .position(|&m| m == node)
-                    .expect("members are a permutation of the node set");
-                contribution(rank, e)
-            })
-            .collect();
+    for (rank, &node) in members.iter().enumerate() {
+        let contribs: Vec<u64> = (0..cfg.total()).map(|e| contribution(rank, e)).collect();
         apps[node.0] = Some(Box::new(ElanThreadApp::new(contribs)));
     }
     let apps: Vec<Box<dyn ElanApp>> = apps.into_iter().map(|a| a.expect("bijection")).collect();

@@ -199,11 +199,15 @@ pub fn build_chains_multi(n: usize, groups: &[GroupChain]) -> MultiChains {
     let mut ev_off = vec![vec![0u32; groups.len()]; n];
     let mut desc_off = vec![vec![0u32; groups.len()]; n];
     let mut rank_in: Vec<Vec<Option<usize>>> = vec![vec![None; groups.len()]; n];
+    for (gi, g) in groups.iter().enumerate() {
+        for (rank, m) in g.members.iter().enumerate() {
+            rank_in[m.0][gi].get_or_insert(rank);
+        }
+    }
     for node in 0..n {
         let (mut e, mut d) = (0u32, 0u32);
-        for (gi, g) in groups.iter().enumerate() {
-            if let Some(rank) = g.members.iter().position(|&m| m.0 == node) {
-                rank_in[node][gi] = Some(rank);
+        for gi in 0..groups.len() {
+            if let Some(rank) = rank_in[node][gi] {
                 ev_off[node][gi] = e;
                 desc_off[node][gi] = d;
                 e += event_idx(per_group[gi][rank].events.len());

@@ -28,6 +28,13 @@
 //! change, so packet-count claim tests are unaffected. Counters whose value
 //! is zero are not reported, matching the old map-based behaviour where a
 //! never-bumped key was absent.
+//!
+//! This is the crate's only name interner. Counter names are open-ended —
+//! the gm and elan models and tests bump names of their own choosing — so
+//! they need a name table. The other measurement stores cover closed,
+//! compile-time name sets and keep them in typed fields instead: the
+//! flight recorder's per-phase histograms ([`crate::span`]) and the shard
+//! profiler's totals ([`crate::telemetry`]).
 
 use std::collections::BTreeMap;
 use std::fmt;

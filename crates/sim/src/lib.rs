@@ -34,11 +34,10 @@
 //!   shard count. [`ExecEngine`] wraps either flavour behind one API so
 //!   harnesses pick an engine per run. See [`parallel`] for the protocol and
 //!   the identity argument.
-//! * [`Telemetry`] / [`EngineProf`] — the engine's *self*-observability: a
-//!   typed metrics registry (counters / gauges / log2 histograms behind
-//!   interned [`MetricId`]s) and the per-shard window profiler that the
-//!   `engine_prof` bench binary turns into timelines and bottleneck
-//!   attributions. Zero-cost unless armed with
+//! * [`EngineProf`] — the engine's *self*-observability: the per-shard
+//!   window profiler (typed busy/idle/drain totals plus a window-utilization
+//!   histogram) that the `engine_prof` bench binary turns into timelines and
+//!   bottleneck attributions. Zero-cost unless armed with
 //!   [`ParallelEngine::enable_prof`]. See [`telemetry`].
 //!
 //! ## Example
@@ -92,16 +91,13 @@ pub use causal::{
 };
 pub use counters::{intern, CounterId, CounterSnapshot, Counters};
 pub use engine::{Component, ComponentId, Ctx, Engine, RunOutcome};
-pub use hist::{intern_hist, HistId, Histogram, Histograms};
+pub use hist::Histogram;
 pub use ledger::{Ledger, LedgerOp, LedgerRecord, Occ, Owner, OwnerKind, ResKind, NO_UNIT};
 pub use parallel::{EngineSel, ExecEngine, ParallelEngine};
 pub use partition::{node_shard, LatencyMatrix, PartitionSel, ShardMap};
 pub use queue::{SchedulerKind, SpscRing};
 pub use rng::SimRng;
 pub use span::{FlightRecorder, Phase, SpanEvent, SpanSummary, NUM_PHASES};
-pub use telemetry::{
-    intern_metric, EngineProf, MetricId, MetricValue, ProfAttribution, ProfClock, ShardProf,
-    ShardProfData, Telemetry, WindowRec,
-};
+pub use telemetry::{EngineProf, ProfAttribution, ProfClock, ShardProf, ShardProfData, WindowRec};
 pub use time::SimTime;
 pub use trace::{Trace, TraceRecord};

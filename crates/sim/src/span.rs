@@ -14,14 +14,16 @@
 //! intervening segment of simulated time to the phase of the event that
 //! ended it. The per-span phase sums therefore add up to the span's
 //! end-to-end latency *exactly*, which is what makes the breakdown tables
-//! trustworthy. Closed spans feed log2 histograms ([`crate::hist`]) named
-//! `flight.op_total` and `flight.phase.<name>`.
+//! trustworthy. Closed spans feed log2 histograms ([`crate::hist`]): one
+//! for the end-to-end latency (`flight.op_total`) and one per phase
+//! (`flight.phase.<name>`), held in fixed fields indexed by
+//! [`Phase::index`] because the phase set is closed.
 //!
 //! Both the trace ring and the recorder are off by default; the engine
 //! guards emission behind a single pre-computed branch per delivery so the
 //! disabled path costs nothing measurable (checked by `engine_sweep`).
 
-use crate::hist::Histograms;
+use crate::hist::Histogram;
 use crate::time::SimTime;
 use std::fmt;
 
@@ -342,7 +344,11 @@ pub struct FlightRecorder {
     dropped: u64,
     /// Phase-carrying events seen while no span was open (not attributable).
     orphaned: u64,
-    hists: Histograms,
+    /// End-to-end latency of every closed span (retained or dropped).
+    op_total: Histogram,
+    /// Per-phase latency contributions, indexed by [`Phase::index`]; a
+    /// span only feeds the phases it spent time in.
+    phase_hists: [Histogram; NUM_PHASES],
 }
 
 impl FlightRecorder {
@@ -359,7 +365,8 @@ impl FlightRecorder {
             completed: Vec::new(),
             dropped: 0,
             orphaned: 0,
-            hists: Histograms::new(),
+            op_total: Histogram::new(),
+            phase_hists: Default::default(),
         }
     }
 
@@ -374,7 +381,8 @@ impl FlightRecorder {
             completed: Vec::new(),
             dropped: 0,
             orphaned: 0,
-            hists: Histograms::new(),
+            op_total: Histogram::new(),
+            phase_hists: Default::default(),
         }
     }
 
@@ -484,12 +492,10 @@ impl FlightRecorder {
             phase_ns: span.phase_ns,
             events: span.events,
         };
-        self.hists
-            .record_id(crate::hist_id!("flight.op_total"), summary.total().as_ns());
-        for phase in Phase::ALL {
-            let ns = summary.phase(phase);
+        self.op_total.record(summary.total().as_ns());
+        for (hist, &ns) in self.phase_hists.iter_mut().zip(&summary.phase_ns) {
             if ns > 0 {
-                self.hists.record(phase.hist_name(), ns);
+                hist.record(ns);
             }
         }
         if self.completed.len() < self.capacity {
@@ -520,9 +526,17 @@ impl FlightRecorder {
         self.orphaned
     }
 
-    /// Latency histograms (`flight.op_total`, `flight.phase.<name>`).
-    pub fn hists(&self) -> &Histograms {
-        &self.hists
+    /// Name-ordered `(name, histogram)` pairs of the non-empty latency
+    /// histograms: `flight.op_total` and `flight.phase.<name>`.
+    pub fn hists(&self) -> Vec<(&'static str, &Histogram)> {
+        let mut out: Vec<(&'static str, &Histogram)> = Phase::ALL
+            .iter()
+            .map(|p| (p.hist_name(), &self.phase_hists[p.index()]))
+            .chain([("flight.op_total", &self.op_total)])
+            .filter(|(_, h)| !h.is_empty())
+            .collect();
+        out.sort_unstable_by_key(|&(name, _)| name);
+        out
     }
 
     /// Drop all state (keeps enabled flag and participants).
@@ -531,7 +545,8 @@ impl FlightRecorder {
         self.completed.clear();
         self.dropped = 0;
         self.orphaned = 0;
-        self.hists.clear();
+        self.op_total = Histogram::new();
+        self.phase_hists = Default::default();
     }
 }
 
@@ -710,7 +725,40 @@ mod tests {
         }
         assert_eq!(r.completed().len(), 2);
         assert_eq!(r.dropped(), 3);
-        assert_eq!(r.hists().get("flight.op_total").unwrap().count(), 5);
+        let hists = r.hists();
+        assert_eq!(hists[0].0, "flight.op_total");
+        assert_eq!(hists[0].1.count(), 5);
+    }
+
+    /// Export order is by name, not [`Phase::ALL`] order, and phases a span
+    /// spent no time in are absent.
+    #[test]
+    fn hists_are_name_ordered_and_skip_empty_phases() {
+        let mut r = FlightRecorder::with_capacity(4);
+        assert!(r.hists().is_empty());
+        r.set_participants(1);
+        r.observe(t(0), &SpanEvent::OpBegin { group: 1, seq: 0 });
+        r.observe(t(5), &SpanEvent::Fire { unit: 0, dst: 1 });
+        r.observe(t(9), &SpanEvent::Nack { dst: 1, round: 0 });
+        r.observe(t(10), &SpanEvent::OpEnd { group: 1, seq: 0 });
+        let names: Vec<&str> = r.hists().iter().map(|&(n, _)| n).collect();
+        assert_eq!(
+            names,
+            [
+                "flight.op_total",
+                "flight.phase.fire",
+                "flight.phase.host",
+                "flight.phase.nack"
+            ]
+        );
+        // A zero-length span still counts towards the total.
+        r.observe(t(20), &SpanEvent::OpBegin { group: 1, seq: 1 });
+        r.observe(t(20), &SpanEvent::OpEnd { group: 1, seq: 1 });
+        let hists = r.hists();
+        assert_eq!(hists[0].1.count(), 2);
+        assert_eq!(hists[2].1.count(), 1, "the empty span feeds no phase");
+        // Recorders keep their own samples.
+        assert!(FlightRecorder::with_capacity(1).hists().is_empty());
     }
 
     #[test]

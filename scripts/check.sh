@@ -5,12 +5,15 @@
 #
 # Every gate runs under the `gate` wrapper, which times it and prints a
 # per-gate wall-time summary at the end — so when the gate gets slow, the
-# summary names the culprit instead of leaving it to guesswork.
+# summary names the culprit instead of leaving it to guesswork. A gate the
+# host cannot run goes through `skip_gate` instead, so the summary lists it
+# as SKIPPED with its reason rather than leaving it out.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 GATE_NAMES=()
 GATE_SECS=()
+GATE_NOTES=()
 gate() {
     local name="$1"
     shift
@@ -19,7 +22,14 @@ gate() {
     "$@"
     t1=$(date +%s%N)
     GATE_NAMES+=("$name")
-    GATE_SECS+=("$(printf '%d.%03d' $(((t1 - t0) / 1000000000)) $(((t1 - t0) / 1000000 % 1000)))")
+    GATE_SECS+=("$(printf '%d.%03ds' $(((t1 - t0) / 1000000000)) $(((t1 - t0) / 1000000 % 1000)))")
+    GATE_NOTES+=("")
+}
+skip_gate() {
+    GATE_NAMES+=("$1")
+    GATE_SECS+=("-")
+    GATE_NOTES+=("  SKIPPED ($2)")
+    echo "check.sh: skipping $1: $2"
 }
 
 # Formatting covers our crates only: vendor/* members are upstream code we
@@ -45,6 +55,13 @@ gate "clippy" cargo clippy --workspace --all-targets -- -D warnings
 # (and fails on stale entries covering nothing).
 gate "lint-fixtures" cargo run --release -q -p nicbar-lint -- --fixtures
 gate "lint-scan" cargo run --release -q -p nicbar-lint
+
+# Benchmark harness: perfbench/ is a package of its own outside the
+# workspace, so the workspace build above cannot see a simulator API change
+# that breaks it. Its self-test builds it and runs every benchmark workload
+# at tiny size against its golden outputs.
+gate "perfbench-selftest" cargo run --release --offline --quiet \
+    --manifest-path perfbench/Cargo.toml -- --self-test
 
 # Protocol model checking: nicbar-verify drives the real PaperCollective
 # through the exhaustive interleaving space of the adversarial network
@@ -84,7 +101,7 @@ echo "check.sh: protocol model checking OK"
 if [ -f results/engine_sweep.json ]; then
     gate "engine-sweep-quick" cargo run --release -p nicbar-bench --bin engine_sweep -- --quick
 else
-    echo "check.sh: no results/engine_sweep.json baseline, skipping --quick gate"
+    skip_gate "engine-sweep-quick" "no results/engine_sweep.json baseline"
 fi
 
 # Engine self-profiler smoke: a profiled 2-shard 64-node run must account
@@ -98,14 +115,17 @@ engine_prof_quick_gate() {
 }
 gate "engine-prof-quick" engine_prof_quick_gate
 echo "check.sh: engine_prof smoke OK"
-if [ "$(nproc 2>/dev/null || echo 1)" -ge 8 ] && [ -f results/engine_sweep.json ]; then
+host_threads=$(nproc 2>/dev/null || echo 1)
+if [ "$host_threads" -lt 8 ]; then
+    skip_gate "engine-prof-full" "$host_threads hardware threads, needs 8"
+elif [ ! -f results/engine_sweep.json ]; then
+    skip_gate "engine-prof-full" "no results/engine_sweep.json baseline"
+else
     engine_prof_full_gate() {
         cargo run --release -q -p nicbar-bench --bin engine_prof -- --check > /dev/null
     }
     gate "engine-prof-full" engine_prof_full_gate
     echo "check.sh: engine_prof full gate OK"
-else
-    echo "check.sh: < 8 hardware threads or no baseline, skipping full engine_prof gate"
 fi
 
 # Parallel-engine parity smoke: the rank-sharded engine must reproduce the
@@ -227,6 +247,6 @@ echo "check.sh: contend smoke OK"
 echo ""
 echo "check.sh: per-gate wall time"
 for i in "${!GATE_NAMES[@]}"; do
-    printf '  %9ss  %s\n' "${GATE_SECS[$i]}" "${GATE_NAMES[$i]}"
+    printf '  %10s  %s%s\n' "${GATE_SECS[$i]}" "${GATE_NAMES[$i]}" "${GATE_NOTES[$i]}"
 done
 echo "check.sh: all green"

@@ -132,3 +132,66 @@ fn why_slow_report_is_byte_identical_across_same_seed_runs() {
         "lossy run surfaces a NACK/retransmit detour:\n{text_a}"
     );
 }
+
+/// The flight-histogram export is a name-ordered list of the non-empty
+/// histograms, not `Phase::ALL` order: `flight.op_total`, then the phases
+/// alphabetically, with phases no span spent time in left out. The name
+/// lists below were recorded from the registry-backed recorder this export
+/// replaced. The lossy run closes more spans than the recorder retains, so
+/// it also checks that `flight.op_total` counts dropped spans too.
+#[test]
+fn flight_hist_export_names_are_pinned() {
+    let cases: [(RunCfg, &[&str]); 2] = [
+        (
+            RunCfg {
+                warmup: 20,
+                iters: 150,
+                seed: 11,
+                skew_us: 2.0,
+                ..RunCfg::default()
+            },
+            &[
+                "flight.op_total",
+                "flight.phase.fire",
+                "flight.phase.host",
+                "flight.phase.wire",
+            ],
+        ),
+        (
+            RunCfg {
+                iters: 4200,
+                ..lossy_cfg(0xD0_0DAD)
+            },
+            &[
+                "flight.op_total",
+                "flight.phase.arrive",
+                "flight.phase.fire",
+                "flight.phase.host",
+                "flight.phase.nack",
+                "flight.phase.wire",
+            ],
+        ),
+    ];
+    for (cfg, expected) in cases {
+        let lossy = cfg.drop_prob > 0.0;
+        let f = gm_nic_barrier_flight(
+            GmParams::lanai_xp(),
+            CollFeatures::paper(),
+            8,
+            Algorithm::Dissemination,
+            cfg,
+        );
+        let names: Vec<&str> = f.hists.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, expected, "lossy={lossy}");
+        let closed = f.spans.len() as u64 + f.spans_dropped;
+        assert_eq!(f.hists[0].1.count(), closed, "lossy={lossy}");
+        assert_eq!(
+            f.spans_dropped > 0,
+            lossy,
+            "only the long lossy run drops spans"
+        );
+        for (name, h) in &f.hists {
+            assert!(h.count() <= closed, "{name} saw more samples than spans");
+        }
+    }
+}
