@@ -9,7 +9,15 @@
 //! The dissemination sweep is checked against the paper's analytical form
 //! `T = A + (⌈log₂N⌉−1)·T_trig` (EXPERIMENTS.md refit): the binary exits
 //! nonzero unless each substrate's DS curve fits the staircase at every
-//! measured N. Writes `BENCH_scale.json` at the repo root.
+//! measured N. Writes `BENCH_scale.json` at the repo root, with the host
+//! cost of every point in ns per simulated event.
+//!
+//! Scale gate (host-independent): on the sequential engine, the gm NIC-DS
+//! cost per event at 65,536 nodes must stay within
+//! [`MAX_GROWTH_OVER_1K`]× its cost at 1024 nodes. A ratio of two points
+//! from the same process on the same host cancels the host's speed; what
+//! it catches is per-event work that grows with N (a group scan on every
+//! packet, a queue walk proportional to bucket depth).
 //!
 //! Flags (see [`nicbar_bench::fig_args`]):
 //! * `--quick` sub-samples the grid for CI smoke runs while keeping the
@@ -35,6 +43,12 @@ use nicbar_model::fit;
 use nicbar_sim::{EngineSel, RunOutcome};
 use std::time::Instant;
 
+/// Upper bound on gm NIC-DS ns/event at 65,536 nodes over its value at
+/// 1024 nodes. With constant per-event work the ratio measures 3–4× on a
+/// 2-vCPU host (cache misses over a 64× larger working set); a group scan
+/// on every packet plus an unbounded wheel-bucket walk measured 21–29×.
+const MAX_GROWTH_OVER_1K: f64 = 5.0;
+
 /// One sweep point's full measurement.
 struct ScalePoint {
     n: usize,
@@ -46,6 +60,13 @@ struct ScalePoint {
     /// Process peak RSS (VmHWM) after the point, KiB. Monotone across the
     /// sweep — the high-water mark, not a per-point footprint.
     peak_rss_kb: u64,
+}
+
+impl ScalePoint {
+    /// Host wall-clock nanoseconds per simulated event.
+    fn ns_per_event(&self) -> f64 {
+        self.run_s * 1e9 / self.events as f64
+    }
 }
 
 /// `VmHWM` from `/proc/self/status`, KiB (0 where unavailable).
@@ -171,20 +192,50 @@ fn check_staircase(label: &str, points: &[ScalePoint]) {
 fn print_table(label: &str, points: &[ScalePoint]) {
     println!("\n== {label} ==");
     println!(
-        "{:>6} {:>10} {:>12} {:>10} {:>9} {:>12}",
-        "nodes", "mean µs", "events", "Mev/s", "wall s", "peak RSS MB"
+        "{:>6} {:>10} {:>12} {:>10} {:>9} {:>9} {:>12}",
+        "nodes", "mean µs", "events", "Mev/s", "ns/ev", "wall s", "peak RSS MB"
     );
     for p in points {
         println!(
-            "{:>6} {:>10.2} {:>12} {:>10.2} {:>9.2} {:>12.1}",
+            "{:>6} {:>10.2} {:>12} {:>10.2} {:>9.0} {:>9.2} {:>12.1}",
             p.n,
             p.stats.mean_us,
             p.events,
             p.events as f64 / p.run_s / 1e6,
+            p.ns_per_event(),
             p.run_s,
             p.peak_rss_kb as f64 / 1024.0
         );
     }
+}
+
+/// The scale gate: gm NIC-DS ns/event at 65,536 nodes over 1024 nodes must
+/// stay within [`MAX_GROWTH_OVER_1K`]. Applies to the sequential engine
+/// only — the parallel engine's wall clock also measures the host's cores.
+fn check_growth(points: &[ScalePoint], sequential: bool) {
+    let at = |n: usize| {
+        points
+            .iter()
+            .find(|p| p.n == n)
+            .map(ScalePoint::ns_per_event)
+    };
+    let (Some(small), Some(large)) = (at(1024), at(65536)) else {
+        return;
+    };
+    let growth = large / small;
+    println!(
+        "gm NIC-DS cost per event: {small:.0} ns at n=1024, {large:.0} ns at n=65536 \
+         ({growth:.2}x, gate <= {MAX_GROWTH_OVER_1K}x)"
+    );
+    if !sequential {
+        println!("(growth gate skipped: main sweep ran on the parallel engine)");
+        return;
+    }
+    assert!(
+        growth <= MAX_GROWTH_OVER_1K,
+        "gm NIC-DS ns/event grew {growth:.2}x from n=1024 to n=65536 \
+         (limit {MAX_GROWTH_OVER_1K}x): some per-event work scales with N"
+    );
 }
 
 /// One row of the engine-comparison series: the 4096-node gm NIC-DS point
@@ -270,14 +321,15 @@ fn engine_series(quick: bool, base: &RunCfg) -> Vec<EnginePoint> {
 fn main() {
     let args = fig_args();
     // Full grid per (substrate, algo); `--quick` sub-samples but keeps the
-    // 65,536-node gm NIC-DS headline point. The PE sweeps stop at 4096:
+    // 65,536-node gm NIC-DS headline point and the 1024-node point the
+    // scale gate divides it by. The PE sweeps stop at 4096:
     // pairwise-exchange is the paper's counterexample algorithm and its
     // large-N behaviour is already visible there.
     let ds_full: Vec<usize> = vec![16, 64, 256, 1024, 4096, 16384, 65536];
     let pe_full: Vec<usize> = vec![16, 64, 256, 1024, 4096];
     let (gm_ds, elan_ds, pe): (Vec<usize>, Vec<usize>, Vec<usize>) = if args.quick {
         (
-            vec![16, 256, 4096, 65536],
+            vec![16, 256, 1024, 4096, 65536],
             vec![16, 256, 1024],
             vec![16, 256],
         )
@@ -324,6 +376,8 @@ fn main() {
     check_staircase("gm NIC-DS", &sweeps[0].1);
     check_staircase("elan NIC-DS", &sweeps[2].1);
     println!("staircase check: both DS curves fit the ceil(log2 N) model ✓");
+    let (sel, shards) = base.engine.resolve(base.shards);
+    check_growth(&sweeps[0].1, !sel);
 
     let engines = engine_series(args.quick, &base);
 
@@ -356,7 +410,6 @@ fn main() {
         }
     }
 
-    let (sel, shards) = base.engine.resolve(base.shards);
     let manifest = Manifest::new(
         RunCfg::default().seed,
         format!(
@@ -402,6 +455,8 @@ fn main() {
             w.uint(p.events);
             w.field("events_per_sec");
             w.number(p.events as f64 / p.run_s);
+            w.field("ns_per_event");
+            w.number(p.ns_per_event());
             w.field("wall_s");
             w.number(p.run_s);
             w.field("peak_rss_kb");

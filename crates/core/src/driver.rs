@@ -15,6 +15,7 @@ use nicbar_sim::{
     EngineSel, ExecEngine, Histogram, LedgerRecord, PacketRecord, PartitionSel, RunOutcome,
     SchedulerKind, SimRng, SimTime, SpanSummary, TraceRecord,
 };
+use std::sync::Arc;
 
 /// The collective group id used by the barrier benchmarks.
 pub const BARRIER_GROUP: GroupId = GroupId(0xBA);
@@ -291,7 +292,7 @@ pub fn build_gm_nic_cluster(
     let members = cfg.members(n);
     // One shared membership list for every rank's GroupSpec: at 65,536
     // nodes a per-rank copy would be 34 GB.
-    let shared: std::sync::Arc<[NodeId]> = members.as_slice().into();
+    let shared: Arc<[NodeId]> = members.as_slice().into();
     // apps/colls are indexed by *node*; rank r lives on members[r].
     let mut apps: Vec<Option<Box<dyn GmApp>>> = (0..n).map(|_| None).collect();
     let mut colls: Vec<Option<Box<dyn NicCollective>>> = (0..n).map(|_| None).collect();
@@ -401,12 +402,12 @@ pub fn gm_host_barrier(params: GmParams, n: usize, algo: Algorithm, cfg: RunCfg)
         .with_engine(cfg.engine)
         .with_shards(cfg.shards)
         .with_partition(cfg.partition.clone());
-    let members = cfg.members(n);
+    let members: Arc<[NodeId]> = cfg.members(n).into();
     let mut apps: Vec<Option<Box<dyn GmApp>>> = (0..n).map(|_| None).collect();
     for (rank, &node) in members.iter().enumerate() {
         apps[node.0] = Some(Box::new(HostBarrierApp::new(
             algo,
-            members.clone(),
+            Arc::clone(&members),
             rank,
             cfg.total(),
             cfg.skew_us,

@@ -159,10 +159,9 @@ impl ElanThread for ThreadCollective {
     fn on_msg(&mut self, _now: SimTime, src: NodeId, tag: u32, value: u64) -> Vec<ThreadAction> {
         let (epoch, round) = decode(tag);
         debug_assert!(
-            self.schedule.rounds[round]
-                .recv_from
-                .iter()
-                .any(|&r| self.members[r] == src),
+            self.schedule
+                .sender_slot(round, &self.members, src)
+                .is_some(),
             "thread message from an unexpected sender"
         );
         debug_assert!(

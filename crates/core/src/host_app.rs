@@ -13,6 +13,7 @@ use nicbar_gm::{GmApi, GmApp, GroupId, MsgTag};
 use nicbar_net::NodeId;
 use nicbar_sim::SimTime;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Barrier message payload size (one integer, as in the paper).
 pub const BARRIER_MSG_BYTES: u32 = 4;
@@ -90,13 +91,24 @@ impl HostScheduleRunner {
         self.progress()
     }
 
-    /// Feed an arrival. Returns newly issuable sends and whether the
-    /// current barrier completed.
-    pub fn on_msg(&mut self, epoch: u64, round: usize, from_rank: usize) -> (HostSends, bool) {
+    /// Feed an arrival from node `src`, resolved to its slot through the
+    /// round's expected senders and `members` (rank → node, rank order).
+    /// Returns newly issuable sends and whether the current barrier
+    /// completed.
+    ///
+    /// # Panics
+    /// If `src` is not an expected sender of `round`.
+    pub fn on_msg(
+        &mut self,
+        epoch: u64,
+        round: usize,
+        members: &[NodeId],
+        src: NodeId,
+    ) -> (HostSends, bool) {
         let slot = self
             .schedule
-            .recv_slot(round, from_rank)
-            .unwrap_or_else(|| panic!("unexpected sender {from_rank} in round {round}"));
+            .sender_slot(round, members, src)
+            .unwrap_or_else(|| panic!("unexpected sender {src:?} in round {round}"));
         let entry = self.banked.entry((epoch, round)).or_insert(0);
         if *entry & (1 << slot) != 0 {
             return (Vec::new(), false); // duplicate
@@ -167,7 +179,8 @@ impl BarrierLog {
 /// The host-based barrier benchmark application (`Host-DS` / `Host-PE`).
 pub struct HostBarrierApp {
     runner: HostScheduleRunner,
-    members: Vec<NodeId>,
+    /// Rank → node, shared by every rank of the group.
+    members: Arc<[NodeId]>,
     iters: u64,
     /// Uniform random compute skew before re-entering (0 = tight loop, the
     /// paper's setup).
@@ -179,14 +192,16 @@ pub struct HostBarrierApp {
 
 impl HostBarrierApp {
     /// Build for `rank` of a group over `members` (rank order), running
-    /// `iters` consecutive barriers with `algo`.
+    /// `iters` consecutive barriers with `algo`. Pass every rank a clone of
+    /// one `Arc` to keep the build linear in the group size.
     pub fn new(
         algo: Algorithm,
-        members: Vec<NodeId>,
+        members: impl Into<Arc<[NodeId]>>,
         rank: usize,
         iters: u64,
         skew_us: f64,
     ) -> Self {
+        let members = members.into();
         let schedule = Schedule::for_algorithm(algo, members.len(), rank);
         HostBarrierApp {
             runner: HostScheduleRunner::new(schedule),
@@ -231,12 +246,7 @@ impl GmApp for HostBarrierApp {
 
     fn on_recv(&mut self, api: &mut GmApi<'_>, src: NodeId, tag: MsgTag, _len: u32) {
         let (epoch, round) = decode_tag(tag);
-        let from_rank = self
-            .members
-            .iter()
-            .position(|&m| m == src)
-            .expect("message from non-member");
-        let (sends, done) = self.runner.on_msg(epoch, round, from_rank);
+        let (sends, done) = self.runner.on_msg(epoch, round, &self.members, src);
         self.issue(api, sends, done);
     }
 
@@ -349,6 +359,11 @@ impl GmApp for CollOpApp {
 mod tests {
     use super::*;
 
+    /// Identity rank → node map of an `n`-rank group.
+    fn nodes(n: usize) -> Vec<NodeId> {
+        (0..n).map(NodeId).collect()
+    }
+
     #[test]
     fn tag_round_trip() {
         let t = encode_tag(123_456, 7);
@@ -368,10 +383,10 @@ mod tests {
         let (sends, done) = r.begin();
         assert_eq!(sends, vec![(1, 0)]);
         assert!(!done);
-        let (sends, done) = r.on_msg(0, 0, 3);
+        let (sends, done) = r.on_msg(0, 0, &nodes(4), NodeId(3));
         assert_eq!(sends, vec![(2, 1)]);
         assert!(!done);
-        let (sends, done) = r.on_msg(0, 1, 2);
+        let (sends, done) = r.on_msg(0, 1, &nodes(4), NodeId(2));
         assert!(sends.is_empty());
         assert!(done);
         assert_eq!(r.completed(), 1);
@@ -383,9 +398,9 @@ mod tests {
         let (_, done) = r.begin();
         assert!(!done);
         // Peer races: both its epoch-0 and epoch-1 messages arrive.
-        let (_, done) = r.on_msg(0, 0, 1);
+        let (_, done) = r.on_msg(0, 0, &nodes(2), NodeId(1));
         assert!(done);
-        let (s, d) = r.on_msg(1, 0, 1);
+        let (s, d) = r.on_msg(1, 0, &nodes(2), NodeId(1));
         assert!(s.is_empty() && !d, "future epoch banked, not applied");
         // Entering epoch 1 releases it immediately.
         let (sends, done) = r.begin();
@@ -398,10 +413,18 @@ mod tests {
     fn runner_ignores_duplicates() {
         let mut r = HostScheduleRunner::new(Schedule::dissemination(4, 0));
         let _ = r.begin();
-        let (s1, _) = r.on_msg(0, 0, 3);
+        let (s1, _) = r.on_msg(0, 0, &nodes(4), NodeId(3));
         assert_eq!(s1.len(), 1);
-        let (s2, d2) = r.on_msg(0, 0, 3);
+        let (s2, d2) = r.on_msg(0, 0, &nodes(4), NodeId(3));
         assert!(s2.is_empty() && !d2);
+    }
+
+    #[test]
+    #[should_panic(expected = "unexpected sender NodeId(1) in round 0")]
+    fn runner_rejects_a_member_outside_its_round() {
+        let mut r = HostScheduleRunner::new(Schedule::dissemination(4, 0));
+        let _ = r.begin();
+        let _ = r.on_msg(0, 0, &nodes(4), NodeId(1));
     }
 
     #[test]

@@ -271,10 +271,6 @@ impl GroupState {
         self.spec.members.len()
     }
 
-    fn rank_of(&self, node: NodeId) -> Option<usize> {
-        self.spec.members.iter().position(|&m| m == node)
-    }
-
     fn slot_index(&self, epoch: u64, round: usize) -> usize {
         (epoch & 1) as usize * self.schedule.num_rounds() + round
     }
@@ -491,19 +487,30 @@ impl GroupState {
         }
     }
 
-    /// Record an arrival (any epoch); duplicates are idempotent.
-    fn bank(&mut self, pkt: &CollPacket, sender_rank: usize) {
+    /// The bit-vector slot of `pkt` within its round: the paper's NIC
+    /// matches an arrival against the round's expected senders, never
+    /// against the whole group (see [`Schedule::sender_slot`]).
+    ///
+    /// # Panics
+    /// If the round is outside the schedule, or `pkt.src` is not one of the
+    /// round's expected senders (a non-member included).
+    fn slot_of(&self, pkt: &CollPacket) -> usize {
         let round = pkt.round as usize;
         assert!(round < self.schedule.num_rounds(), "round out of schedule");
-        let slot = self
-            .schedule
-            .recv_slot(round, sender_rank)
+        self.schedule
+            .sender_slot(round, &self.spec.members, pkt.src)
             .unwrap_or_else(|| {
                 panic!(
-                    "rank {} is not an expected sender in round {round} (group {:?})",
-                    sender_rank, self.spec.id
+                    "{:?} is not an expected sender in round {round} (group {:?})",
+                    pkt.src, self.spec.id
                 )
-            });
+            })
+    }
+
+    /// Record an arrival (any epoch) in bit-vector slot `slot` of its round;
+    /// duplicates are idempotent.
+    fn bank(&mut self, pkt: &CollPacket, slot: usize) {
+        let round = pkt.round as usize;
         let idx = self.slot_index(pkt.epoch, round);
         let entry = &mut self.slots[idx];
         if entry.epoch != pkt.epoch {
@@ -910,9 +917,7 @@ impl NicCollective for PaperCollective {
         }
         let my_node = self.node;
         let state = self.group_mut(pkt.group);
-        let sender_rank = state
-            .rank_of(pkt.src)
-            .unwrap_or_else(|| panic!("packet from non-member {:?}", pkt.src));
+        let slot = state.slot_of(pkt);
         debug_assert!(
             pkt.epoch <= state.host_epoch,
             "arrival more than one epoch ahead (epoch {}, host at {})",
@@ -922,7 +927,7 @@ impl NicCollective for PaperCollective {
         if pkt.epoch < state.completed {
             return; // stale duplicate of a finished epoch
         }
-        state.bank(pkt, sender_rank);
+        state.bank(pkt, slot);
         // This arrival is the epoch's latest stimulus: anything the
         // progress sweep emits was enabled (last) by it.
         if let Some(live) = state.live.as_mut() {
@@ -1307,6 +1312,64 @@ mod tests {
             1,
             &CollOperand::Scalar(0),
         );
+    }
+
+    fn barrier_packet(src: usize, round: u16) -> CollPacket {
+        CollPacket {
+            src: NodeId(src),
+            group: GroupId(1),
+            epoch: 0,
+            round,
+            kind: CollKind::Barrier,
+        }
+    }
+
+    /// Senders resolve through the rank → node map, not the node ids: with
+    /// ranks placed on nodes in reverse, rank 0 (node 3) of a 4-rank
+    /// dissemination hears from rank 3 (node 0), then rank 2 (node 1).
+    #[test]
+    fn permuted_senders_resolve_through_members() {
+        let reversed: Arc<[NodeId]> = (0..4).rev().map(NodeId).collect();
+        let spec = GroupSpec::barrier(
+            GroupId(1),
+            reversed,
+            0,
+            Algorithm::Dissemination,
+            SimTime::from_us(100.0),
+        );
+        let mut e = PaperCollective::new(NodeId(3), vec![spec]);
+        let _ = doorbell(
+            &mut e,
+            SimTime::ZERO,
+            GroupId(1),
+            0,
+            &CollOperand::Scalar(0),
+        );
+        let a = packet(&mut e, SimTime::from_us(1.0), &barrier_packet(0, 0));
+        assert!(
+            matches!(a.as_slice(), [CollAction::Send { dst: NodeId(1), .. }]),
+            "round 1 send to rank 2 = node 1, got {a:?}"
+        );
+        let a = packet(&mut e, SimTime::from_us(2.0), &barrier_packet(1, 1));
+        assert!(
+            matches!(a.as_slice(), [CollAction::HostDone { .. }]),
+            "{a:?}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not an expected sender in round 0")]
+    fn member_outside_its_round_panics() {
+        // Rank 0 of 4 expects rank 3 in round 0; rank 1 sends nothing to it.
+        let mut e = barrier_engine(4, 0);
+        let _ = packet(&mut e, SimTime::ZERO, &barrier_packet(1, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "not an expected sender")]
+    fn non_member_packet_panics() {
+        let mut e = barrier_engine(4, 0);
+        let _ = packet(&mut e, SimTime::ZERO, &barrier_packet(9, 0));
     }
 
     #[test]

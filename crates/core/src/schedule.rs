@@ -18,6 +18,8 @@
 //! [`disseminates`] checks the barrier correctness condition (every rank's
 //! entry causally precedes every rank's exit).
 
+use nicbar_net::NodeId;
+
 /// One rank's plan for one round.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RoundPlan {
@@ -247,9 +249,19 @@ impl Schedule {
         self.rounds.iter().map(|r| r.recv_from.len()).sum()
     }
 
-    /// The slot index of `sender` within round `r`'s expected list.
-    pub fn recv_slot(&self, r: usize, sender: usize) -> Option<usize> {
-        self.rounds[r].recv_from.iter().position(|&s| s == sender)
+    /// The slot of the message round `r` expects from node `src`: its index
+    /// in `recv_from`, matched through `members` (rank → node, in rank
+    /// order), or `None` if `src` is not an expected sender of that round.
+    ///
+    /// The scan covers the round's expected senders only — at most 64, and
+    /// one for dissemination and pairwise exchange — never the group, so a
+    /// receive costs the same at any group size and under any rank → node
+    /// permutation, with no per-rank node → rank table to build.
+    pub fn sender_slot(&self, r: usize, members: &[NodeId], src: NodeId) -> Option<usize> {
+        self.rounds[r]
+            .recv_from
+            .iter()
+            .position(|&rank| members[rank] == src)
     }
 }
 
@@ -521,7 +533,7 @@ mod tests {
     }
 
     #[test]
-    fn recv_slot_lookup() {
+    fn sender_slot_lookup() {
         let s = Schedule::gather_broadcast(7, 0, 2);
         // Root gathers from children 1 and 2 in round 1 (depth-2 tree).
         let r = s
@@ -529,9 +541,16 @@ mod tests {
             .iter()
             .position(|p| p.recv_from.len() == 2)
             .expect("gather round");
-        assert_eq!(s.recv_slot(r, 1), Some(0));
-        assert_eq!(s.recv_slot(r, 2), Some(1));
-        assert_eq!(s.recv_slot(r, 3), None);
+        // Ranks map to nodes in reverse, so a rank-keyed lookup would miss.
+        let members: Vec<NodeId> = (0..7).rev().map(NodeId).collect();
+        assert_eq!(s.sender_slot(r, &members, NodeId(5)), Some(0));
+        assert_eq!(s.sender_slot(r, &members, NodeId(4)), Some(1));
+        assert_eq!(
+            s.sender_slot(r, &members, NodeId(3)),
+            None,
+            "member, not a sender this round"
+        );
+        assert_eq!(s.sender_slot(r, &members, NodeId(99)), None, "non-member");
     }
 
     #[test]

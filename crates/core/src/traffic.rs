@@ -23,6 +23,7 @@ use nicbar_gm::{
 };
 use nicbar_net::NodeId;
 use nicbar_sim::{RunOutcome, SimTime};
+use std::sync::Arc;
 
 /// Tag marking bulk-traffic messages (distinct from barrier tags, whose
 /// round field never reaches 0xFF). Lives in `nicbar-gm` so the NIC can
@@ -55,7 +56,8 @@ enum BarrierMode {
     /// Host-based schedule over point-to-point messages.
     Host {
         runner: HostScheduleRunner,
-        members: Vec<NodeId>,
+        /// Rank → node, shared by every rank of the group.
+        members: Arc<[NodeId]>,
     },
 }
 
@@ -91,9 +93,16 @@ impl BarrierUnderTrafficApp {
         }
     }
 
-    /// Host-based variant.
-    pub fn host(algo: Algorithm, rank: usize, n: usize, iters: u64, traffic: TrafficCfg) -> Self {
-        let members: Vec<NodeId> = (0..n).map(NodeId).collect();
+    /// Host-based variant for `rank` of the group over `members` (rank
+    /// order, shared by every rank).
+    pub fn host(
+        algo: Algorithm,
+        members: Arc<[NodeId]>,
+        rank: usize,
+        iters: u64,
+        traffic: TrafficCfg,
+    ) -> Self {
+        let n = members.len();
         BarrierUnderTrafficApp {
             mode: BarrierMode::Host {
                 runner: HostScheduleRunner::new(Schedule::for_algorithm(algo, n, rank)),
@@ -167,13 +176,7 @@ impl GmApp for BarrierUnderTrafficApp {
         }
         let (epoch, round) = decode_tag(tag);
         let (sends, done) = match &mut self.mode {
-            BarrierMode::Host { runner, members } => {
-                let from_rank = members
-                    .iter()
-                    .position(|&m| m == src)
-                    .expect("barrier message from non-member");
-                runner.on_msg(epoch, round, from_rank)
-            }
+            BarrierMode::Host { runner, members } => runner.on_msg(epoch, round, members, src),
             BarrierMode::Nic => panic!("NIC-mode app got a barrier p2p message"),
         };
         self.issue_host(api, sends, done);
@@ -285,12 +288,13 @@ pub fn gm_host_barrier_under_traffic(
         .with_scheduler(cfg.scheduler)
         .with_engine(cfg.engine)
         .with_shards(cfg.shards);
+    let members: Arc<[NodeId]> = (0..n).map(NodeId).collect();
     let apps: Vec<Box<dyn GmApp>> = (0..n)
         .map(|rank| {
             Box::new(BarrierUnderTrafficApp::host(
                 algo,
+                Arc::clone(&members),
                 rank,
-                n,
                 cfg.total(),
                 traffic,
             )) as Box<dyn GmApp>

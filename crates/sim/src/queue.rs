@@ -25,6 +25,13 @@
 //! window fall back to the indexed heap and re-bucket when the window
 //! advances.
 //!
+//! Every push costs O(1) whatever the bucket depth: an out-of-order subkey
+//! walks at most 64 chain nodes to its insertion point, and an event whose
+//! insertion point lies deeper takes the indexed heap too (the bounded-walk
+//! rule). Large permuted runs put thousands of same-nanosecond events with
+//! shuffled subkeys into one bucket; an unbounded walk made the wheel's
+//! per-event cost grow with the node count there.
+//!
 //! ## Why the 4-ary indexed heap (the overflow and alternate scheduler)
 //!
 //! * **Shallower**: a 4-ary heap has half the depth of a binary heap, so a
@@ -284,10 +291,11 @@ impl<M> IndexedHeap<M> {
 /// append) and sets a bitmap bit, pop unlinks the head node. Buckets are
 /// `(head, tail)` node indices into a slab whose free list is LIFO, so a
 /// ping-pong workload keeps re-using the same hot node; the whole bucket
-/// array is 16 KiB and stays cache-resident. Events beyond the window (or
-/// behind the read floor) go to an [`IndexedHeap`] overflow; when the
-/// window drains, it advances to the overflow's minimum and re-buckets
-/// everything now in range.
+/// array is 16 KiB and stays cache-resident. Events beyond the window,
+/// behind the read floor, or more than [`WALK_BOUND`] nodes deep in an
+/// out-of-order insert go to an [`IndexedHeap`] overflow; when the window
+/// drains, it advances to the overflow's minimum and re-buckets everything
+/// now in range.
 ///
 /// A depth-1 bypass (the classic DES "top event cache") short-circuits
 /// ping-pong workloads: a push into an empty queue parks the event in
@@ -299,20 +307,28 @@ impl<M> IndexedHeap<M> {
 /// Pop must follow the total `(time, subkey)` key order among the events
 /// currently pending:
 ///
-/// * Same-time events share a bucket, and each bucket chain is kept sorted
-///   by subkey on insert — so within a bucket delivery order *is* key
-///   order. (Unlike a global insertion counter, content subkeys do not
-///   arrive in increasing order: a later push from a lower-numbered source
-///   carries a smaller subkey. The sorted insert restores the total order;
-///   the common case — monotone subkeys — is still a tail append.)
+/// * Every bucket chain is kept sorted by subkey on insert — so within a
+///   bucket delivery order *is* key order. (Unlike a global insertion
+///   counter, content subkeys do not arrive in increasing order: a later
+///   push from a lower-numbered source carries a smaller subkey. The sorted
+///   insert restores the total order; the common case — monotone subkeys —
+///   is still a tail append.)
+/// * Bounded walk: an out-of-order insert walks at most [`WALK_BOUND`]
+///   nodes from the head. If the insertion point lies deeper, the event
+///   goes to the overflow instead, so a time may have events both in its
+///   bucket and in the overflow. Chains no longer than the bound never
+///   touch the overflow.
 /// * Overflow events that re-bucket on a window advance are inserted in
 ///   key order *before* any direct push into the new window can occur, so
-///   the sorted-chain property is established by tail appends alone.
+///   the sorted-chain property is established by tail appends alone (and
+///   the bounded walk never sends one back to the overflow).
 /// * An in-window push behind the read floor is routed to the overflow, and
 ///   the floor only moves forward, so such an event's time stays strictly
-///   below every remaining bucket time — the overflow-first pop rule
-///   delivers it in order, and an overflow/bucket *time* tie is impossible
-///   (full keys are compared anyway, for safety).
+///   below every remaining bucket time.
+/// * Pop compares the *full* keys of the overflow minimum and the first
+///   bucket's head. Both structures are key-ordered, so the smaller of the
+///   two is the global minimum — including on the overflow/bucket *time*
+///   ties the bounded walk creates.
 pub(crate) struct WheelQueue<M> {
     /// Depth-1 bypass: the sole queued event, iff `len == 1` came from a
     /// push into an empty queue. Invariant: `single.is_some()` implies the
@@ -350,6 +366,12 @@ pub(crate) struct WheelQueue<M> {
 /// bucket set inside the L1 cache; longer timers take the overflow path.
 const WHEEL_BUCKETS: usize = 2048;
 const WHEEL_WORDS: usize = WHEEL_BUCKETS / 64;
+/// Most chain nodes an out-of-order push walks before it takes the
+/// overflow instead. Bounds every push at a constant cost however many
+/// same-nanosecond events share a bucket (thousands at 16k permuted nodes),
+/// while short chains — all of them on small workloads — still sort in
+/// place and never touch the heap.
+const WALK_BOUND: usize = 64;
 /// Null link / empty bucket marker.
 const NIL: u32 = u32::MAX;
 
@@ -377,14 +399,17 @@ impl<M> WheelQueue<M> {
         self.base.saturating_add(WHEEL_BUCKETS as u64)
     }
 
-    /// Insert a payload node into bucket `idx`'s chain, keeping the chain
-    /// sorted by subkey. Monotone pushes — the overwhelmingly common case —
-    /// take the tail-append fast path.
+    /// Insert an event into bucket `idx`'s chain, keeping the chain sorted
+    /// by subkey. Monotone pushes — the overwhelmingly common case — take
+    /// the tail-append fast path. An out-of-order push walks at most
+    /// [`WALK_BOUND`] nodes from the head; past that it goes to the
+    /// full-key overflow heap instead, so no push costs O(bucket).
     #[inline]
-    fn link(&mut self, idx: usize, subkey: u64, target: ComponentId, msg: M) {
+    fn link(&mut self, idx: usize, key: u128, target: ComponentId, msg: M) {
         // `idx` is already < WHEEL_BUCKETS; the mask lets the compiler drop
         // every bounds check on the fixed-size bucket arrays.
         let idx = idx & (WHEEL_BUCKETS - 1);
+        let subkey = key as u64;
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.payload[slot as usize] = Some((target, msg));
@@ -408,12 +433,18 @@ impl<M> WheelQueue<M> {
             self.next[tail as usize] = slot;
             self.tail[idx] = slot;
         } else {
-            // Out-of-order subkey: walk the (short) chain to the insertion
-            // point. The chain stays sorted, so the walk stops at the first
-            // larger subkey.
+            // Out-of-order subkey: walk the chain to the insertion point.
+            // The tail's subkey is larger, so the walk stops at or before
+            // the tail — unless the bound stops it first.
             let mut prev = NIL;
             let mut cur = self.head[idx];
-            while cur != NIL && self.subkeys[cur as usize] <= subkey {
+            let mut steps = 0;
+            while self.subkeys[cur as usize] <= subkey {
+                if steps == WALK_BOUND {
+                    self.spill(slot, key);
+                    return;
+                }
+                steps += 1;
                 prev = cur;
                 cur = self.next[cur as usize];
             }
@@ -428,6 +459,19 @@ impl<M> WheelQueue<M> {
         if idx < self.next_bucket {
             self.next_bucket = idx;
         }
+    }
+
+    /// The bounded walk gave up: hand slab node `slot` back and queue its
+    /// event on the overflow heap under its full `key`. Out of line so the
+    /// push fast paths stay small.
+    #[cold]
+    #[inline(never)]
+    fn spill(&mut self, slot: u32, key: u128) {
+        let (target, msg) = self.payload[slot as usize]
+            .take()
+            .expect("spilled node has a payload");
+        self.free.push(slot);
+        self.overflow.push(key, target, msg);
     }
 
     #[inline]
@@ -449,7 +493,7 @@ impl<M> WheelQueue<M> {
         let t = (key >> 64) as u64;
         let off = t.wrapping_sub(self.base);
         if t >= self.base && off < WHEEL_BUCKETS as u64 && off as usize >= self.floor {
-            self.link(off as usize, key as u64, target, msg);
+            self.link(off as usize, key, target, msg);
         } else {
             // Behind the floor or beyond the horizon: full-key heap order.
             self.overflow.push(key, target, msg);
@@ -482,8 +526,9 @@ impl<M> WheelQueue<M> {
             });
         }
         // Fast path: no overflow pending (the common case — overflow only
-        // holds events scheduled more than a window ahead), so the first
-        // occupied bucket's head is the global minimum.
+        // holds events scheduled more than a window ahead and spills from
+        // buckets deeper than the walk bound), so the first occupied
+        // bucket's head is the global minimum.
         if self.overflow.len() == 0 {
             if self.next_bucket < WHEEL_BUCKETS {
                 return self.pop_bucket();
@@ -550,8 +595,10 @@ impl<M> WheelQueue<M> {
             if tn >= limit {
                 break;
             }
+            // Key order makes every link a tail append, so none of these
+            // can bounce back into the overflow being drained.
             let e = self.overflow.pop().expect("peeked event vanished");
-            self.link((tn - t0) as usize, e.key as u64, e.target, e.msg);
+            self.link((tn - t0) as usize, e.key, e.target, e.msg);
         }
     }
 
@@ -970,6 +1017,81 @@ mod tests {
             run(SchedulerKind::TimingWheel),
             run(SchedulerKind::ClassicBinaryHeap)
         );
+    }
+
+    /// `base..base + n` in a seeded random order.
+    fn shuffled(rng: &mut crate::rng::SimRng, base: u64, n: u64) -> Vec<u64> {
+        let mut v: Vec<u64> = (base..base + n).collect();
+        for i in (1..v.len()).rev() {
+            v.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        v
+    }
+
+    /// One bucket far deeper than the walk bound, filled with shuffled
+    /// subkeys, then pops interleaved with pushes into that bucket, pushes
+    /// behind the read floor and a window advance: the wheel (bounded walk
+    /// plus overflow) must pop exactly the classic heap's key sequence.
+    #[test]
+    fn wheel_bounded_walk_matches_classic() {
+        let run = |kind: SchedulerKind| {
+            let mut q = EventQueue::<u64>::new(kind);
+            let mut rng = crate::rng::SimRng::new(0x5EED);
+            let push = |q: &mut EventQueue<u64>, t: u64, sub: u64| {
+                q.push(pack(SimTime::from_ns(t), sub), ComponentId(0), sub);
+            };
+            for sub in shuffled(&mut rng, 1_000_000, 40 * WALK_BOUND as u64) {
+                push(&mut q, 100, sub);
+            }
+            for sub in shuffled(&mut rng, 2_000_000, 200) {
+                push(&mut q, 101, sub);
+            }
+            // Beyond the window: drained through an advance.
+            for sub in shuffled(&mut rng, 3_000_000, 500) {
+                push(&mut q, 100_000, sub);
+            }
+            if let EventQueue::Wheel(w) = &q {
+                assert!(w.overflow.len() > 500, "the deep bucket never spilled");
+            }
+            let mut fresh = 4_000_000u64;
+            let mut popped = Vec::new();
+            while let Some(e) = q.pop() {
+                popped.push(e.key);
+                let t = e.time.as_ns();
+                if popped.len() % 7 == 0 && popped.len() < 3_000 {
+                    // Into the bucket being drained, below and above the
+                    // chain's remaining subkeys, and one behind the floor.
+                    push(&mut q, t, rng.below(5_000_000));
+                    push(&mut q, t + 1 + rng.below(3), fresh);
+                    push(&mut q, t.saturating_sub(1), fresh + 1);
+                    fresh += 2;
+                }
+            }
+            assert!(popped.len() > 40 * WALK_BOUND);
+            popped
+        };
+        assert_eq!(
+            run(SchedulerKind::TimingWheel),
+            run(SchedulerKind::ClassicBinaryHeap)
+        );
+    }
+
+    /// A shuffled chain no longer than the walk bound sorts entirely in its
+    /// bucket: the overflow heap is never touched.
+    #[test]
+    fn wheel_chain_within_bound_never_overflows() {
+        let mut q = EventQueue::<u64>::new(SchedulerKind::TimingWheel);
+        let mut rng = crate::rng::SimRng::new(7);
+        let subs = shuffled(&mut rng, 0, WALK_BOUND as u64);
+        for &sub in &subs {
+            q.push(pack(SimTime::from_ns(50), sub), ComponentId(0), sub);
+            let EventQueue::Wheel(w) = &q else {
+                unreachable!()
+            };
+            assert_eq!(w.overflow.len(), 0, "chain of {} spilled", subs.len());
+        }
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.msg).collect();
+        assert_eq!(order, (0..WALK_BOUND as u64).collect::<Vec<_>>());
     }
 
     #[test]

@@ -157,21 +157,34 @@ echo "check.sh: allocation gate OK"
 
 # Scalability smoke: the quick sweep (sub-sampled grid up to the 65,536-node
 # gm NIC-DS point) must complete, both dissemination curves must fit the
-# ceil(log2 N) staircase, and the engine-comparison series must reproduce
-# the sequential latency bit-for-bit under sharding. On hosts with >= 8
-# hardware threads fig_scale additionally asserts the 8-shard parallel
-# engine beats sequential by >= 4.5x on the 4096-node gm point (raised
-# from 3x when adaptive lookahead + SPSC mailboxes landed; skipped with a
-# visible message on smaller hosts) — fig_scale exits nonzero otherwise.
+# ceil(log2 N) staircase, gm NIC-DS cost per event at 65,536 nodes must
+# stay within 5x of its cost at 1024 nodes (the host-independent scale
+# gate), and the engine-comparison series must reproduce the sequential
+# latency bit-for-bit under sharding — fig_scale exits nonzero otherwise.
 # Every run also appends the speedup series to BENCH_par.json; the before
 # count feeds the trajectory gate below.
+#
+# On hosts with >= 8 hardware threads the same run also asserts the 8-shard
+# parallel engine beats sequential by >= 4.5x on the 4096-node gm point
+# (raised from 3x when adaptive lookahead + SPSC mailboxes landed). That
+# speedup gate gets its own summary line: SKIPPED when fig_scale reports
+# it skipped the assertion, otherwise marked as asserted by the smoke run.
 count_runs() { grep -c '"manifest"' "$1" 2>/dev/null || true; }
 runs_before_par=$(count_runs BENCH_par.json); runs_before_par=${runs_before_par:-0}
+fig_scale_log=$(mktemp)
 fig_scale_gate() {
-    cargo run --release -q -p nicbar-bench --bin fig_scale -- --quick > /dev/null
+    cargo run --release -q -p nicbar-bench --bin fig_scale -- --quick > "$fig_scale_log"
 }
 gate "fig-scale-smoke" fig_scale_gate
 echo "check.sh: fig_scale smoke OK"
+if grep -q "speedup gate skipped" "$fig_scale_log"; then
+    skip_gate "fig-scale-speedup" "<8 hardware threads"
+else
+    GATE_NAMES+=("fig-scale-speedup")
+    GATE_SECS+=("-")
+    GATE_NOTES+=("  (asserted inside fig-scale-smoke)")
+fi
+rm -f "$fig_scale_log"
 
 # Profile-guided partition parity smoke: the same quick sweep driven by
 # the committed PR-7 profiler capture must pass fig_scale's internal

@@ -3,10 +3,13 @@
 //! indexed 4-ary event queue, and the classic `BinaryHeap` baseline they
 //! replaced. Only wall-clock time is allowed to differ between them.
 
-use nicbar_core::{elan_nic_barrier, gm_nic_barrier, Algorithm, BarrierStats, RunCfg};
+use nicbar_core::{
+    build_elan_nic_cluster, build_gm_nic_cluster, elan_nic_barrier, elan_nic_stats, gm_nic_barrier,
+    gm_nic_stats, Algorithm, BarrierStats, RunCfg,
+};
 use nicbar_elan::ElanParams;
 use nicbar_gm::{CollFeatures, GmParams};
-use nicbar_sim::SchedulerKind;
+use nicbar_sim::{RunOutcome, SchedulerKind};
 
 fn cfg(kind: SchedulerKind) -> RunCfg {
     RunCfg {
@@ -57,6 +60,63 @@ fn fig7_elan_point_is_identical_across_schedulers() {
     let classic = run(SchedulerKind::ClassicBinaryHeap);
     assert_parity(&wheel, &classic, "fig7 n=8 (wheel)");
     assert_parity(&indexed, &classic, "fig7 n=8 (indexed4)");
+}
+
+/// A permuted, non-power-of-two group is where the schedulers' fast paths
+/// meet their edge cases: senders resolve through a shuffled rank → node
+/// map, and thousands of same-nanosecond events with shuffled subkeys pile
+/// into single wheel buckets, deeper than the wheel's bounded insert walk.
+/// Both substrates must still give identical latencies, counters and event
+/// counts on every scheduler.
+#[test]
+fn permuted_3000_node_nic_ds_is_identical_across_schedulers() {
+    const N: usize = 3000;
+    let cfg = |kind| RunCfg {
+        warmup: 1,
+        iters: 1,
+        permute: true,
+        scheduler: kind,
+        ..RunCfg::default()
+    };
+    let gm = |kind| {
+        let cfg = cfg(kind);
+        let mut c = build_gm_nic_cluster(
+            GmParams::lanai_xp(),
+            CollFeatures::paper(),
+            N,
+            Algorithm::Dissemination,
+            &cfg,
+            false,
+        );
+        assert_eq!(c.run_until(cfg.deadline()), RunOutcome::Idle);
+        (gm_nic_stats(&c, N, &cfg), c.engine.events_processed())
+    };
+    let elan = |kind| {
+        let cfg = cfg(kind);
+        let mut c = build_elan_nic_cluster(
+            ElanParams::elan3(),
+            N,
+            Algorithm::Dissemination,
+            &cfg,
+            false,
+        );
+        assert_eq!(c.run_until(cfg.deadline()), RunOutcome::Idle);
+        (elan_nic_stats(&c, N, &cfg), c.engine.events_processed())
+    };
+    let (gm_ref, gm_events) = gm(SchedulerKind::ClassicBinaryHeap);
+    let (elan_ref, elan_events) = elan(SchedulerKind::ClassicBinaryHeap);
+    for kind in [SchedulerKind::TimingWheel, SchedulerKind::Indexed4] {
+        let (stats, events) = gm(kind);
+        assert_parity(&stats, &gm_ref, &format!("gm n={N} permuted ({kind:?})"));
+        assert_eq!(events, gm_events, "gm n={N}: event count ({kind:?})");
+        let (stats, events) = elan(kind);
+        assert_parity(
+            &stats,
+            &elan_ref,
+            &format!("elan n={N} permuted ({kind:?})"),
+        );
+        assert_eq!(events, elan_events, "elan n={N}: event count ({kind:?})");
+    }
 }
 
 /// The counter report surfaced through `BarrierStats` stays name-ordered —
