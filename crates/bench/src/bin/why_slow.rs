@@ -23,7 +23,9 @@
 //!                      coverage and the dump dropped zero records
 //!   --replay PATH      skip the simulation: re-ingest a JSONL netdump
 //!                      (ours, or a `nicbar-verify --trace-out`
-//!                      counterexample) and run the analysis on it
+//!                      counterexample) and run the analysis on it; exits 1
+//!                      naming the line of an unparseable record or of a
+//!                      record id that is not strictly increasing
 //!
 //! The header stamps which engine produced the run; everything below it is
 //! byte-identical across engines and shard counts.
@@ -57,28 +59,13 @@ fn replay(path: &str) -> i32 {
             return 1;
         }
     };
-    let mut records = Vec::new();
-    let mut header: Option<(u64, u64)> = None;
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
+    let netdump::Dump { header, records } = match netdump::parse_dump(&text) {
+        Ok(dump) => dump,
+        Err(e) => {
+            eprintln!("error: {path}:{e}");
+            return 1;
         }
-        // Our own exports lead with a dump-level header line; traces from
-        // `nicbar-verify --trace-out` are headerless.
-        if lineno == 0 {
-            if let Some(h) = netdump::parse_header(line) {
-                header = Some(h);
-                continue;
-            }
-        }
-        match netdump::parse_line(line) {
-            Some(r) => records.push(r),
-            None => {
-                eprintln!("error: {path}:{}: unparseable record: {line}", lineno + 1);
-                return 1;
-            }
-        }
-    }
+    };
     println!(
         "== why-slow --replay: {} records from {path} ==",
         records.len()

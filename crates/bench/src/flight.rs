@@ -329,10 +329,14 @@ mod tests {
 
         let mut engine: Engine<u32> = Engine::new(1);
         let id = engine.add(Chatter);
-        *engine.trace_mut() = Trace::with_capacity(4);
+        engine.records_mut().trace = Trace::with_capacity(4);
         engine.schedule_at(SimTime::ZERO, id, 9);
         engine.run();
-        assert_eq!(engine.trace().dropped(), 6, "10 emits into a 4-slot ring");
+        assert_eq!(
+            engine.records().trace.dropped(),
+            6,
+            "10 emits into a 4-slot ring"
+        );
 
         let cap = FlightData {
             substrate: "gm",
@@ -345,8 +349,8 @@ mod tests {
                 wire_per_barrier: 0.0,
                 counters: Vec::new(),
             },
-            records: engine.trace().iter().copied().collect(),
-            trace_dropped: engine.trace().dropped(),
+            records: engine.records().trace.iter().copied().collect(),
+            trace_dropped: engine.records().trace.dropped(),
             spans: Vec::new(),
             spans_dropped: 0,
             orphaned: 0,

@@ -113,9 +113,10 @@ pub fn jsonl_with_header(records: &[PacketRecord], dropped: u64) -> String {
 
 /// Parse one [`record_line`]-shaped JSONL line back into a [`PacketRecord`]
 /// (the inverse used by `why-slow --replay`). Omitted optional fields come
-/// back as their sentinels. Returns `None` on anything malformed — the
-/// schema is flat (no nested objects, no strings containing `,` or `"`),
-/// so splitting on commas is exact, not approximate.
+/// back as their sentinels. Returns `None` on anything malformed, including
+/// a node or component number its field cannot hold — the schema is flat
+/// (no nested objects, no strings containing `,` or `"`), so splitting on
+/// commas is exact, not approximate.
 pub fn parse_line(line: &str) -> Option<PacketRecord> {
     let body = line.trim().strip_prefix('{')?.strip_suffix('}')?;
     let mut r = PacketRecord {
@@ -151,9 +152,9 @@ pub fn parse_line(line: &str) -> Option<PacketRecord> {
             }
             "parent" => r.parent = CauseId(n),
             "t_ns" => r.time = SimTime::from_ns(n),
-            "comp" => r.component = ComponentId(n as usize),
-            "src" => r.src = n as u32,
-            "dst" => r.dst = n as u32,
+            "comp" => r.component = ComponentId(usize::try_from(n).ok()?),
+            "src" => r.src = u32::try_from(n).ok()?,
+            "dst" => r.dst = u32::try_from(n).ok()?,
             "group" => r.group = n,
             "seq" => r.seq = n,
             "a" => r.a = n,
@@ -162,6 +163,50 @@ pub fn parse_line(line: &str) -> Option<PacketRecord> {
         }
     }
     (saw_id && saw_kind).then_some(r)
+}
+
+/// A parsed JSONL netdump (see [`parse_dump`]).
+#[derive(Debug)]
+pub struct Dump {
+    /// The header's `(records, dropped)`, when the file leads with one.
+    pub header: Option<(u64, u64)>,
+    /// The records, in strictly increasing id order.
+    pub records: Vec<PacketRecord>,
+}
+
+/// Parse a whole JSONL netdump: an optional leading [`header_line`], then
+/// one [`record_line`] per line (blank lines skipped). The causal analysis
+/// binary-searches records by id, so ids must be strictly increasing; an
+/// error names the 1-based line of the first record that is unparseable or
+/// out of order.
+pub fn parse_dump(text: &str) -> Result<Dump, String> {
+    let mut header = None;
+    let mut records: Vec<PacketRecord> = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        // Our own exports lead with a dump-level header line; traces from
+        // `nicbar-verify --trace-out` are headerless.
+        if i == 0 {
+            if let Some(h) = parse_header(line) {
+                header = Some(h);
+                continue;
+            }
+        }
+        let lineno = i + 1;
+        let r = parse_line(line).ok_or_else(|| format!("{lineno}: unparseable record: {line}"))?;
+        if let Some(prev) = records.last() {
+            if r.id <= prev.id {
+                return Err(format!(
+                    "{lineno}: record id {} after id {}: ids must be strictly increasing",
+                    r.id.0, prev.id.0
+                ));
+            }
+        }
+        records.push(r);
+    }
+    Ok(Dump { header, records })
 }
 
 #[cfg(test)]
@@ -287,5 +332,34 @@ mod tests {
         );
         assert!(parse_line("{\"id\": 1, \"kind\": \"no-such-kind\"}").is_none());
         assert!(parse_line("{\"id\": 1, \"kind\": \"fire\", \"mystery\": 2}").is_none());
+    }
+
+    #[test]
+    fn parse_line_rejects_nodes_out_of_range() {
+        let ok = "{\"id\": 1, \"kind\": \"fire\", \"src\": 4294967295}";
+        assert_eq!(parse_line(ok).unwrap().src, u32::MAX);
+        for field in ["src", "dst"] {
+            let line = format!("{{\"id\": 1, \"kind\": \"fire\", \"{field}\": 4294967296}}");
+            assert!(parse_line(&line).is_none(), "{field} must not truncate");
+        }
+    }
+
+    #[test]
+    fn parse_dump_requires_strictly_increasing_ids() {
+        let line = |id: u64| format!("{{\"id\": {id}, \"kind\": \"fire\"}}");
+        let text = [header_line(3, 0), line(1), String::new(), line(2), line(5)].join("\n");
+        let dump = parse_dump(&text).unwrap();
+        assert_eq!(dump.header, Some((3, 0)));
+        assert_eq!(dump.records.len(), 3);
+
+        let swapped = [line(1), line(3), line(2)].join("\n");
+        let err = parse_dump(&swapped).unwrap_err();
+        assert!(err.starts_with("3: record id 2 after id 3"), "{err}");
+        let duplicate = [header_line(2, 0), line(4), line(4)].join("\n");
+        assert!(parse_dump(&duplicate).unwrap_err().starts_with("3: "));
+        let garbage = [line(1), "{oops}".to_string()].join("\n");
+        assert!(parse_dump(&garbage)
+            .unwrap_err()
+            .starts_with("2: unparseable record"));
     }
 }

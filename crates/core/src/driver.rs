@@ -233,9 +233,9 @@ impl FlightData {
     }
 }
 
-/// Snapshot the trace ring and flight recorder off any engine into a
-/// [`FlightData`] whose `stats` field the caller fills in afterwards.
-pub(crate) fn capture_observability<M: Send + 'static>(
+/// Snapshot the four observability stores off any engine into a
+/// [`FlightData`] around already-harvested `stats`.
+pub fn capture_observability<M: Send + 'static>(
     substrate: &'static str,
     engine: &ExecEngine<M>,
     stats: BarrierStats,

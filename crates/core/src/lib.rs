@@ -36,10 +36,10 @@ pub mod traffic;
 
 pub use contend::{elan_contend_flight, gm_contend_flight, CONTEND_GROUP_BASE};
 pub use driver::{
-    build_elan_nic_cluster, build_gm_nic_cluster, elan_gsync_barrier, elan_hw_barrier,
-    elan_nic_barrier, elan_nic_barrier_flight, elan_nic_stats, elan_thread_allreduce,
-    elan_thread_barrier, gm_host_barrier, gm_nic_barrier, gm_nic_barrier_flight, gm_nic_stats,
-    BarrierStats, FlightData, RunCfg, BARRIER_GROUP,
+    build_elan_nic_cluster, build_gm_nic_cluster, capture_observability, elan_gsync_barrier,
+    elan_hw_barrier, elan_nic_barrier, elan_nic_barrier_flight, elan_nic_stats,
+    elan_thread_allreduce, elan_thread_barrier, gm_host_barrier, gm_nic_barrier,
+    gm_nic_barrier_flight, gm_nic_stats, BarrierStats, FlightData, RunCfg, BARRIER_GROUP,
 };
 pub use protocol::{GroupOp, GroupSpec, PaperCollective, ReduceOp};
 pub use schedule::{ceil_log2, floor_log2, schedules_for, Algorithm, RoundPlan, Schedule};

@@ -14,11 +14,15 @@
 //! (e.g. the arrival that tripped a counting event, or the packet that
 //! completed a dissemination round).
 //!
-//! Records live in a bounded [`NetDump`] buffer on the engine, disabled by
-//! default. When disabled, [`crate::Ctx::packet`] is a single predictable
-//! branch returning [`CauseId::NONE`], so the hot path pays nothing.
+//! Records live in a bounded [`NetDump`], one of the engine's
+//! [`crate::Records`], disabled by default. While every store is off,
+//! [`crate::Ctx::packet`] is a single predictable branch returning
+//! [`CauseId::NONE`], so the hot path pays nothing; while other stores are
+//! on, the disabled netdump still returns [`CauseId::NONE`] and uses up no
+//! id (see [`crate::record`]).
 
 use crate::engine::ComponentId;
+use crate::record::RecordLog;
 use crate::time::SimTime;
 
 /// Identifier of a [`PacketRecord`] — the currency of causal links.
@@ -270,18 +274,18 @@ impl PacketLog {
     }
 }
 
-/// Bounded buffer of [`PacketRecord`]s, owned by the engine.
+/// Bounded buffer of [`PacketRecord`]s, one of the engine's
+/// [`crate::Records`].
 ///
 /// Disabled by default; [`NetDump::enable`] arms it. When the buffer fills,
 /// further records are counted in [`NetDump::dropped`] but not stored —
 /// children of a dropped record still get real ids, so chains simply
 /// terminate early at the hole (the `why-slow` gate asserts zero drops).
+/// Keeping the first records makes the stored set prefix-closed: every
+/// stored record's parent is stored too, unless it was dropped itself.
 pub struct NetDump {
-    enabled: bool,
-    capacity: usize,
     next_id: u64,
-    records: Vec<PacketRecord>,
-    dropped: u64,
+    log: RecordLog<PacketRecord>,
 }
 
 impl NetDump {
@@ -291,88 +295,82 @@ impl NetDump {
 
     /// A disabled netdump (records nothing, allocates nothing).
     pub fn disabled() -> Self {
-        NetDump {
-            enabled: false,
-            capacity: Self::DEFAULT_CAPACITY,
-            next_id: 1,
-            records: Vec::new(),
-            dropped: 0,
-        }
+        Self::with_log(RecordLog::first(Self::DEFAULT_CAPACITY))
     }
 
-    /// Arm the dump with the default capacity.
+    /// An armed netdump with a small capacity, for overflow tests.
+    #[cfg(test)]
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        let mut dump = Self::with_log(RecordLog::first(capacity));
+        dump.enable();
+        dump
+    }
+
+    fn with_log(log: RecordLog<PacketRecord>) -> Self {
+        NetDump { next_id: 1, log }
+    }
+
+    /// Arm the dump.
     pub fn enable(&mut self) {
-        self.enabled = true;
-    }
-
-    /// Arm the dump with an explicit record capacity.
-    pub fn enable_with_capacity(&mut self, capacity: usize) {
-        self.enabled = true;
-        self.capacity = capacity;
+        self.log.enable();
     }
 
     /// Is the dump recording?
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.log.is_enabled()
     }
 
     /// Record one event, assigning it the next id. Returns the assigned id
-    /// even when the buffer is full (the drop is counted instead).
+    /// even when the buffer is full (the drop is counted instead). A
+    /// disabled dump returns [`CauseId::NONE`] and uses up no id.
     pub fn record(&mut self, time: SimTime, component: ComponentId, log: PacketLog) -> CauseId {
+        if !self.is_enabled() {
+            return CauseId::NONE;
+        }
         let id = CauseId(self.next_id);
         self.next_id += 1;
-        if self.records.len() < self.capacity {
-            self.records.push(PacketRecord {
-                id,
-                parent: log.parent,
-                time,
-                component,
-                kind: log.kind,
-                src: log.src,
-                dst: log.dst,
-                group: log.group,
-                seq: log.seq,
-                a: log.a,
-                b: log.b,
-            });
-        } else {
-            self.dropped += 1;
-        }
+        self.log.push(PacketRecord {
+            id,
+            parent: log.parent,
+            time,
+            component,
+            kind: log.kind,
+            src: log.src,
+            dst: log.dst,
+            group: log.group,
+            seq: log.seq,
+            a: log.a,
+            b: log.b,
+        });
         id
     }
 
     /// The captured records, in emission order.
     pub fn records(&self) -> &[PacketRecord] {
-        &self.records
-    }
-
-    /// Drain the captured records out of the buffer (harness use).
-    pub fn take_records(&mut self) -> Vec<PacketRecord> {
-        std::mem::take(&mut self.records)
+        self.log.as_slice()
     }
 
     /// Records lost to the capacity bound.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.log.dropped()
     }
 
     /// Number of stored records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.log.len()
     }
 
     /// True if nothing was captured.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len() == 0
     }
 
     /// Forget everything captured so far (between measurement phases). Ids
     /// keep increasing so post-clear records never collide with pre-clear
     /// parents.
     pub fn clear(&mut self) {
-        self.records.clear();
-        self.dropped = 0;
+        self.log.clear();
     }
 }
 
@@ -433,8 +431,7 @@ mod tests {
 
     #[test]
     fn capacity_overflow_counts_drops_but_keeps_ids_fresh() {
-        let mut dump = NetDump::disabled();
-        dump.enable_with_capacity(2);
+        let mut dump = NetDump::with_capacity(2);
         let a = rec(&mut dump, CauseId::NONE, CausalKind::HostEnter);
         let b = rec(&mut dump, a, CausalKind::Fire);
         let c = rec(&mut dump, b, CausalKind::Wire);

@@ -32,15 +32,15 @@
 //! `BinaryHeap` scheduler is still available via [`Engine::with_scheduler`]
 //! as a differential-testing baseline.
 
-use crate::causal::{CauseId, NetDump, PacketLog};
+use crate::causal::{CauseId, PacketLog};
 use crate::counters::Counters;
-use crate::ledger::{Ledger, LedgerRecord, Occ};
+use crate::ledger::Occ;
 use crate::parallel::{RawEvent, RawObs, ShardLink};
 use crate::queue::{pack, EventQueue, PoppedEvent, SchedulerKind};
+use crate::record::{Raw, Records};
 use crate::rng::SimRng;
-use crate::span::{FlightRecorder, SpanEvent};
+use crate::span::SpanEvent;
 use crate::time::SimTime;
-use crate::trace::{Trace, TraceRecord};
 use std::any::Any;
 use std::fmt;
 
@@ -117,10 +117,7 @@ pub struct Ctx<'a, M> {
     /// This component's private RNG stream, forked lazily from `master`.
     rng_slot: &'a mut Option<Box<SimRng>>,
     master: &'a SimRng,
-    trace: &'a mut Trace,
-    recorder: &'a mut FlightRecorder,
-    netdump: &'a mut NetDump,
-    ledger: &'a mut Ledger,
+    records: &'a mut Records,
     counters: &'a mut Counters,
     halt: &'a mut bool,
     /// Present when this engine runs as a shard of the parallel engine:
@@ -129,15 +126,10 @@ pub struct Ctx<'a, M> {
     /// Present when a shard must capture observability locally for the
     /// deterministic post-run merge (see [`crate::parallel`]).
     raw: Option<&'a mut RawObs>,
-    /// True when span events have any live consumer (trace ring, flight
-    /// recorder, or raw shard capture), computed once per delivery so every
-    /// [`Ctx::span`] call on the disabled path is a single predictable
-    /// branch on an already-loaded bool.
-    observing: bool,
-    /// Same, for [`Ctx::packet`] (netdump or raw shard capture).
-    dumping: bool,
-    /// Same, for [`Ctx::ledger`] (occupancy ledger or raw shard capture).
-    ledgering: bool,
+    /// True when any record store is armed (or a shard is capturing),
+    /// computed once per delivery so every emit call on the disabled path
+    /// is a single predictable branch on an already-loaded bool.
+    recording: bool,
 }
 
 impl<M> Ctx<'_, M> {
@@ -267,85 +259,47 @@ impl<M> Ctx<'_, M> {
 
     /// Emit a typed event attributed to this component: recorded into the
     /// trace ring (if tracing is enabled) and folded into the flight
-    /// recorder (if recording is enabled). When both are disabled — the
-    /// common case — this is a single predictable branch and the event is
-    /// never built into a record.
+    /// recorder (if recording is enabled). When every store is disabled —
+    /// the common case — this is a single predictable branch and the event
+    /// is never built into a record.
     #[inline]
     pub fn span(&mut self, event: SpanEvent) {
-        if !self.observing {
-            return;
+        if self.recording {
+            self.record(Raw::Span(event));
         }
-        self.span_slow(event);
-    }
-
-    #[cold]
-    fn span_slow(&mut self, event: SpanEvent) {
-        // A shard captures raw span events for the deterministic post-run
-        // merge; only the merged replay feeds the real trace/recorder.
-        if let Some(raw) = self.raw.as_deref_mut() {
-            raw.spans.push((self.now, self.self_id, event));
-            return;
-        }
-        self.trace.emit(TraceRecord {
-            time: self.now,
-            component: self.self_id,
-            event,
-        });
-        self.recorder.observe(self.now, &event);
     }
 
     /// Record a wire-visible event into the causal netdump, returning its
     /// [`CauseId`] so follow-on events can name it as their parent. When the
-    /// netdump is disabled — the common case — this is a single predictable
-    /// branch and returns [`CauseId::NONE`].
+    /// netdump is disabled this returns [`CauseId::NONE`]; when every store
+    /// is disabled — the common case — that is a single predictable branch.
     #[inline]
     pub fn packet(&mut self, log: PacketLog) -> CauseId {
-        if !self.dumping {
+        if !self.recording {
             return CauseId::NONE;
         }
-        self.packet_slow(log)
+        self.record(Raw::Pkt(log))
     }
 
-    #[cold]
-    fn packet_slow(&mut self, log: PacketLog) -> CauseId {
-        // Shards hand out provisional ids; the merge remaps them to the
-        // real, sequential-identical netdump ids.
-        if let Some(raw) = self.raw.as_deref_mut() {
-            return raw.record_packet(self.now, self.self_id, log);
-        }
-        self.netdump.record(self.now, self.self_id, log)
-    }
-
-    /// Record a resource-occupancy event into the ledger. When the ledger
+    /// Record a resource-occupancy event into the ledger. When every store
     /// is disabled — the common case — this is a single predictable branch
     /// and the record is never built.
     #[inline]
     pub fn ledger(&mut self, occ: Occ) {
-        if !self.ledgering {
-            return;
+        if self.recording {
+            self.record(Raw::Occ(occ));
         }
-        self.ledger_slow(occ);
     }
 
+    /// The one emit slow path: a shard captures the record for the
+    /// deterministic post-run merge, which routes it later; the sequential
+    /// engine routes it now. Both go through [`Records::route`].
     #[cold]
-    fn ledger_slow(&mut self, occ: Occ) {
-        let record = LedgerRecord {
-            t0: occ.t0,
-            t1: occ.t1,
-            component: self.self_id,
-            op: occ.op,
-            res: occ.res,
-            node: occ.node,
-            unit: occ.unit,
-            owner: occ.owner,
-        };
-        // Ledger records carry no ids, so a shard's capture replays into the
-        // merged ledger verbatim — no remapping.
-        if let Some(raw) = self.raw.as_deref_mut() {
-            raw.ledger.push(record);
-            return;
+    fn record(&mut self, rec: Raw) -> CauseId {
+        match self.raw.as_deref_mut() {
+            Some(raw) => raw.capture(self.now, self.self_id, rec),
+            None => self.records.route(self.now, self.self_id, rec),
         }
-        self.ledger.record(record);
     }
 
     /// Stop the engine after the current handler returns. Pending events are
@@ -386,10 +340,7 @@ pub struct Engine<M: 'static> {
     pub(crate) srcs: Vec<SourceState>,
     /// Send count of the external source (`schedule_*` injections).
     pub(crate) ext_count: u64,
-    pub(crate) trace: Trace,
-    pub(crate) recorder: FlightRecorder,
-    pub(crate) netdump: NetDump,
-    pub(crate) ledger: Ledger,
+    pub(crate) records: Records,
     pub(crate) counters: Counters,
     pub(crate) halted: bool,
     pub(crate) events_processed: u64,
@@ -414,10 +365,7 @@ impl<M: 'static> Engine<M> {
             rng: SimRng::new(seed),
             srcs: Vec::new(),
             ext_count: 0,
-            trace: Trace::disabled(),
-            recorder: FlightRecorder::disabled(),
-            netdump: NetDump::disabled(),
-            ledger: Ledger::disabled(),
+            records: Records::default(),
             counters: Counters::new(),
             halted: false,
             events_processed: 0,
@@ -528,67 +476,16 @@ impl<M: 'static> Engine<M> {
         &mut self.counters
     }
 
-    /// The trace ring.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
+    /// The observability stores (trace ring, flight recorder, netdump,
+    /// ledger).
+    pub fn records(&self) -> &Records {
+        &self.records
     }
 
-    /// Enable tracing with the default capacity.
-    pub fn enable_trace(&mut self) {
-        self.trace.enable();
-    }
-
-    /// Mutable access to the trace (clearing between phases).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
-    }
-
-    /// The flight recorder.
-    pub fn recorder(&self) -> &FlightRecorder {
-        &self.recorder
-    }
-
-    /// Enable flight recording with the default span capacity.
-    pub fn enable_recorder(&mut self) {
-        self.recorder.enable();
-    }
-
-    /// Mutable access to the flight recorder (setting participants,
-    /// clearing between phases).
-    pub fn recorder_mut(&mut self) -> &mut FlightRecorder {
-        &mut self.recorder
-    }
-
-    /// The causal netdump.
-    pub fn netdump(&self) -> &NetDump {
-        &self.netdump
-    }
-
-    /// Enable causal packet capture with the default record capacity.
-    pub fn enable_netdump(&mut self) {
-        self.netdump.enable();
-    }
-
-    /// Mutable access to the netdump (clearing between phases, draining
-    /// records after a run).
-    pub fn netdump_mut(&mut self) -> &mut NetDump {
-        &mut self.netdump
-    }
-
-    /// The resource-occupancy ledger.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
-    }
-
-    /// Enable occupancy capture with the default record capacity.
-    pub fn enable_ledger(&mut self) {
-        self.ledger.enable();
-    }
-
-    /// Mutable access to the ledger (clearing between phases, draining
-    /// records after a run).
-    pub fn ledger_mut(&mut self) -> &mut Ledger {
-        &mut self.ledger
+    /// Mutable access to the stores: arming them before a run, setting
+    /// recorder participants, clearing between phases.
+    pub fn records_mut(&mut self) -> &mut Records {
+        &mut self.records
     }
 
     /// Downcast access to a concrete component, for post-run inspection.
@@ -643,17 +540,7 @@ impl<M: 'static> Engine<M> {
         );
         self.now = event.time;
         self.events_processed += 1;
-        let (record_spans, record_pkts, record_ledger, s0, p0, l0) = match raw.as_deref() {
-            Some(r) => (
-                r.record_spans,
-                r.record_pkts,
-                r.record_ledger,
-                r.spans.len(),
-                r.pkts.len(),
-                r.ledger.len(),
-            ),
-            None => (false, false, false, 0, 0, 0),
-        };
+        let r0 = raw.as_deref().map_or(0, |r| r.records.len());
         // Split borrow: the target component and the Ctx fields are disjoint
         // parts of `self`, so the handler runs without moving the component
         // out of its slot and back.
@@ -663,10 +550,7 @@ impl<M: 'static> Engine<M> {
             now,
             rng,
             srcs,
-            trace,
-            recorder,
-            netdump,
-            ledger,
+            records,
             counters,
             halted,
             ..
@@ -674,9 +558,7 @@ impl<M: 'static> Engine<M> {
         let component = components[event.target.0]
             .as_deref_mut()
             .unwrap_or_else(|| panic!("event for uninstalled component {}", event.target));
-        let observing = trace.is_enabled() || recorder.is_enabled() || record_spans;
-        let dumping = netdump.is_enabled() || record_pkts;
-        let ledgering = ledger.is_enabled() || record_ledger;
+        let recording = raw.is_some() || records.armed().any();
         let src = &mut srcs[event.target.0];
         let mut ctx = Ctx {
             now: *now,
@@ -686,17 +568,12 @@ impl<M: 'static> Engine<M> {
             queue,
             rng_slot: &mut src.rng,
             master: rng,
-            trace,
-            recorder,
-            netdump,
-            ledger,
+            records,
             counters,
             halt: halted,
             link,
             raw: raw.as_deref_mut(),
-            observing,
-            dumping,
-            ledgering,
+            recording,
         };
         component.handle(event.msg, &mut ctx);
         if let Some(r) = raw {
@@ -705,9 +582,7 @@ impl<M: 'static> Engine<M> {
             // decided by delivered-event keys, not by record keys.
             r.events.push(RawEvent {
                 key: event.key,
-                spans: (r.spans.len() - s0) as u32,
-                pkts: (r.pkts.len() - p0) as u32,
-                lgr: (r.ledger.len() - l0) as u32,
+                records: (r.records.len() - r0) as u32,
             });
         }
     }
@@ -1062,10 +937,10 @@ mod tests {
     #[test]
     fn counters_and_trace_capture_activity() {
         let (mut engine, _, _) = build(9);
-        engine.enable_trace();
+        engine.records_mut().trace.enable();
         engine.run();
         assert_eq!(engine.counters().get("records"), 10);
-        assert_eq!(engine.trace().count("record"), 10);
+        assert_eq!(engine.records().trace.count("record"), 10);
     }
 
     #[test]
@@ -1097,14 +972,14 @@ mod tests {
         let mut engine: Engine<Msg> = Engine::new(0);
         let sink = engine.add(Sink { seen: Vec::new() });
         let op = engine.add(Op { sink });
-        engine.enable_recorder();
-        engine.recorder_mut().set_participants(1);
+        engine.records_mut().recorder.enable();
+        engine.records_mut().recorder.set_participants(1);
         engine.schedule_at(SimTime::ZERO, op, Msg::Tick(0));
         engine.run();
         // Recorder active, trace still off: span events were folded but the
         // ring stayed empty.
-        assert!(engine.trace().is_empty());
-        let spans = engine.recorder().completed();
+        assert!(engine.records().trace.is_empty());
+        let spans = engine.records().recorder.completed();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].total(), SimTime::from_us(2.0));
         assert_eq!(spans[0].phase(Phase::Fire), 1_000);

@@ -11,9 +11,10 @@
 //! resource and name the interferer ("group 0xBB's broadcast held the send
 //! token"), instead of reporting an anonymous queueing delay.
 //!
-//! Records live in a bounded [`Ledger`] buffer on the engine, disabled by
-//! default. When disabled, [`crate::Ctx::ledger`] is a single predictable
-//! branch, so the hot path pays nothing (the allocation gate covers this).
+//! Records live in a bounded [`Ledger`], one of the engine's
+//! [`crate::Records`], disabled by default. While every store is off,
+//! [`crate::Ctx::ledger`] is a single predictable branch, so the hot path
+//! pays nothing (the allocation gate covers this).
 //!
 //! Ownership rules (enforced by the emitting backends, documented here and
 //! in DESIGN.md "Observability IV"):
@@ -32,6 +33,7 @@
 //!   identifies the queue/slot instance.
 
 use crate::engine::ComponentId;
+use crate::record::RecordLog;
 use crate::time::SimTime;
 
 /// Sentinel for [`LedgerRecord::unit`] when a resource has one instance.
@@ -74,22 +76,6 @@ impl ResKind {
             ResKind::EventSlot => "event-slot",
             ResKind::LinkPort => "link-port",
         }
-    }
-
-    /// Inverse of [`ResKind::name`] — used when re-ingesting exported
-    /// ledgers.
-    pub fn from_name(s: &str) -> Option<Self> {
-        Some(match s {
-            "nic-cpu" => ResKind::NicCpu,
-            "dma-engine" => ResKind::DmaEngine,
-            "send-queue" => ResKind::SendQueue,
-            "packet-pool" => ResKind::PacketPool,
-            "recv-tokens" => ResKind::RecvTokens,
-            "elan-engine" => ResKind::ElanEngine,
-            "event-slot" => ResKind::EventSlot,
-            "link-port" => ResKind::LinkPort,
-            _ => return None,
-        })
     }
 }
 
@@ -305,18 +291,32 @@ impl Occ {
         self.unit = unit;
         self
     }
+
+    /// The ledger record of this occupancy, emitted by `component`.
+    pub(crate) fn by(self, component: ComponentId) -> LedgerRecord {
+        LedgerRecord {
+            t0: self.t0,
+            t1: self.t1,
+            component,
+            op: self.op,
+            res: self.res,
+            node: self.node,
+            unit: self.unit,
+            owner: self.owner,
+        }
+    }
 }
 
-/// Bounded buffer of [`LedgerRecord`]s, owned by the engine.
+/// Bounded buffer of [`LedgerRecord`]s, one of the engine's
+/// [`crate::Records`].
 ///
 /// Disabled by default; [`Ledger::enable`] arms it. When the buffer fills,
 /// further records are counted in [`Ledger::dropped`] but not stored (the
-/// `contend --check` gate asserts zero drops).
+/// `contend --check` gate asserts zero drops). Keeping the first records
+/// keeps attribution sound: every stored wait's covering holds were emitted
+/// before it, so they are stored too.
 pub struct Ledger {
-    enabled: bool,
-    capacity: usize,
-    records: Vec<LedgerRecord>,
-    dropped: u64,
+    log: RecordLog<LedgerRecord>,
 }
 
 impl Ledger {
@@ -328,68 +328,57 @@ impl Ledger {
     /// A disabled ledger (records nothing, allocates nothing).
     pub fn disabled() -> Self {
         Ledger {
-            enabled: false,
-            capacity: Self::DEFAULT_CAPACITY,
-            records: Vec::new(),
-            dropped: 0,
+            log: RecordLog::first(Self::DEFAULT_CAPACITY),
         }
     }
 
-    /// Arm the ledger with the default capacity.
-    pub fn enable(&mut self) {
-        self.enabled = true;
+    /// An armed ledger with a small capacity, for overflow tests.
+    #[cfg(test)]
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        let mut log = RecordLog::first(capacity);
+        log.enable();
+        Ledger { log }
     }
 
-    /// Arm the ledger with an explicit record capacity.
-    pub fn enable_with_capacity(&mut self, capacity: usize) {
-        self.enabled = true;
-        self.capacity = capacity;
+    /// Arm the ledger.
+    pub fn enable(&mut self) {
+        self.log.enable();
     }
 
     /// Is the ledger recording?
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.log.is_enabled()
     }
 
-    /// Record one occupancy event.
+    /// Record one occupancy event (if armed).
     pub fn record(&mut self, record: LedgerRecord) {
-        if self.records.len() < self.capacity {
-            self.records.push(record);
-        } else {
-            self.dropped += 1;
-        }
+        self.log.push(record);
     }
 
     /// The captured records, in emission order.
     pub fn records(&self) -> &[LedgerRecord] {
-        &self.records
-    }
-
-    /// Drain the captured records out of the buffer (harness use).
-    pub fn take_records(&mut self) -> Vec<LedgerRecord> {
-        std::mem::take(&mut self.records)
+        self.log.as_slice()
     }
 
     /// Records lost to the capacity bound.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.log.dropped()
     }
 
     /// Number of stored records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.log.len()
     }
 
     /// True if nothing was captured.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len() == 0
     }
 
     /// Forget everything captured so far (between measurement phases).
     pub fn clear(&mut self) {
-        self.records.clear();
-        self.dropped = 0;
+        self.log.clear();
     }
 }
 
@@ -399,8 +388,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn res_kind_names_round_trip() {
-        for k in [
+    fn res_kind_names_are_distinct() {
+        let names = [
             ResKind::NicCpu,
             ResKind::DmaEngine,
             ResKind::SendQueue,
@@ -409,10 +398,11 @@ mod tests {
             ResKind::ElanEngine,
             ResKind::EventSlot,
             ResKind::LinkPort,
-        ] {
-            assert_eq!(ResKind::from_name(k.name()), Some(k));
+        ]
+        .map(ResKind::name);
+        for (i, a) in names.iter().enumerate() {
+            assert!(!names[i + 1..].contains(a), "{a} named twice");
         }
-        assert_eq!(ResKind::from_name("no-such-resource"), None);
     }
 
     #[test]
@@ -431,8 +421,7 @@ mod tests {
 
     #[test]
     fn capacity_overflow_counts_drops() {
-        let mut l = Ledger::disabled();
-        l.enable_with_capacity(1);
+        let mut l = Ledger::with_capacity(1);
         let rec = |t: u64| LedgerRecord {
             t0: SimTime::from_ns(t),
             t1: SimTime::from_ns(t + 5),

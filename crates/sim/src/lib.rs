@@ -18,14 +18,15 @@
 //! * [`SimRng`] — a seeded counter-based RNG (ChaCha8). All randomness in a
 //!   simulation flows from one seed, so identical seeds reproduce identical
 //!   event traces bit-for-bit.
-//! * [`Counters`] / [`Trace`] — cheap named statistics and an optional event
-//!   trace ring used by tests to assert protocol behaviour (packet counts,
-//!   ACK counts, retransmissions, ...).
-//! * [`SpanEvent`] / [`FlightRecorder`] / [`Histogram`] — typed protocol
-//!   events, per-operation phase breakdowns, and log2-bucketed latency
-//!   histograms: the flight-recorder layer behind the `flight` binary's
-//!   Chrome-trace export and breakdown tables. Disabled by default; one
-//!   branch per emit site when off.
+//! * [`Counters`] — cheap named statistics (packet counts, ACK counts,
+//!   retransmissions, ...).
+//! * [`Records`] — the four observability stores behind one record path
+//!   ([`record`]): the [`Trace`] ring, the [`FlightRecorder`] (typed
+//!   [`SpanEvent`]s folded into per-operation phase breakdowns and
+//!   log2-bucketed [`Histogram`]s), the causal [`NetDump`] and the
+//!   occupancy [`Ledger`]. One routing function fills them on both
+//!   engines; each keeps a bounded log with a drop count. Disabled by
+//!   default; one branch per emit site when off.
 //!
 //! * [`ParallelEngine`] — a rank-sharded conservative parallel executor: one
 //!   built [`Engine`] split across worker threads by a [`ShardMap`], run in
@@ -80,6 +81,7 @@ pub mod ledger;
 pub mod parallel;
 pub mod partition;
 pub mod queue;
+pub mod record;
 pub mod rng;
 pub mod span;
 pub mod telemetry;
@@ -96,6 +98,7 @@ pub use ledger::{Ledger, LedgerOp, LedgerRecord, Occ, Owner, OwnerKind, ResKind,
 pub use parallel::{EngineSel, ExecEngine, ParallelEngine};
 pub use partition::{node_shard, LatencyMatrix, PartitionSel, ShardMap};
 pub use queue::{SchedulerKind, SpscRing};
+pub use record::Records;
 pub use rng::SimRng;
 pub use span::{FlightRecorder, Phase, SpanEvent, SpanSummary, NUM_PHASES};
 pub use telemetry::{EngineProf, ProfAttribution, ProfClock, ShardProf, ShardProfData, WindowRec};

@@ -57,17 +57,19 @@
 //!
 //! ## Deterministic observability merge
 //!
-//! Trace records, flight-recorder folds, and causal netdump records must
-//! appear in the *global* delivery order to be byte-identical with a
-//! sequential run. Each shard therefore captures raw per-delivery
-//! observability ([`RawObs`]) — one entry per delivered event (record-less
-//! events included; the merge order is decided by delivered-event keys, not
-//! record keys) — and after the run the shards' streams are k-way merged by
-//! head event key and replayed into the real trace/recorder/netdump.
-//! Netdump ids are assigned at replay time, so they match the sequential
-//! run exactly; during the run shards hand out *provisional* ids
-//! (`(shard + 1) << 40 | index`) which the replay remaps — including ids
-//! that components stored and re-use as causal parents many windows later.
+//! Span, packet and ledger records must reach the stores in the *global*
+//! delivery order to be byte-identical with a sequential run. Each shard
+//! therefore captures its records (`RawObs`) in one emission-ordered
+//! vector, plus one entry per delivered event counting the records its
+//! handler emitted (record-less events included; the merge order is
+//! decided by delivered-event keys, not record keys). After the run the
+//! shards' streams are k-way merged by head event key and every record is
+//! handed to the same routing function the sequential engine uses
+//! ([`crate::Records`]). Netdump ids are assigned at replay time, so they
+//! match the sequential run exactly; during the run shards hand out
+//! *provisional* ids (`(shard + 1) << 40 | index`) which the replay remaps
+//! — including ids that components stored and re-use as causal parents
+//! many windows later.
 //!
 //! ## Lock-free mailboxes, scratch ownership, steady-state allocation
 //!
@@ -96,15 +98,16 @@
 //!   but other shards finish the current window first. The barrier driver
 //!   layer never halts mid-protocol, so the parity witness is unaffected.
 
-use crate::causal::{CauseId, NetDump, PacketLog};
+use crate::causal::{CauseId, NetDump};
 use crate::engine::{ComponentId, Engine, RunOutcome};
-use crate::ledger::{Ledger, LedgerRecord};
+use crate::ledger::Ledger;
 use crate::partition::{LatencyMatrix, ShardMap};
 use crate::queue::{pack, SchedulerKind, SpscRing};
-use crate::span::{FlightRecorder, SpanEvent};
+use crate::record::{Armed, Raw, Records};
+use crate::span::FlightRecorder;
 use crate::telemetry::{EngineProf, ProfClock, ShardProf};
 use crate::time::SimTime;
-use crate::trace::{Trace, TraceRecord};
+use crate::trace::Trace;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
@@ -148,13 +151,11 @@ impl<M> ShardLink<M> {
     }
 }
 
-/// Per-delivery observability summary: how many raw span/packet records the
-/// handler of the event with this key emitted.
+/// Per-delivery observability summary: how many raw records the handler
+/// of the event with this key emitted.
 pub(crate) struct RawEvent {
     pub(crate) key: u128,
-    pub(crate) spans: u32,
-    pub(crate) pkts: u32,
-    pub(crate) lgr: u32,
+    pub(crate) records: u32,
 }
 
 /// Bit position of the shard tag inside a provisional [`CauseId`].
@@ -162,20 +163,17 @@ const PKT_TAG_SHIFT: u32 = 40;
 const PKT_IDX_MASK: u64 = (1 << PKT_TAG_SHIFT) - 1;
 
 /// A shard's raw observability capture for the deterministic post-run
-/// merge: one [`RawEvent`] per delivered event, plus the span/packet
-/// payloads in emission order.
+/// merge: one [`RawEvent`] per delivered event, plus the emitted records in
+/// emission order.
 pub(crate) struct RawObs {
-    pub(crate) record_spans: bool,
-    pub(crate) record_pkts: bool,
-    pub(crate) record_ledger: bool,
+    /// The base engine's armed stores for this run: records no store wants
+    /// are not captured (so no provisional id is handed out for them).
+    armed: Armed,
     pub(crate) events: Vec<RawEvent>,
-    pub(crate) spans: Vec<(SimTime, ComponentId, SpanEvent)>,
-    pub(crate) pkts: Vec<(SimTime, ComponentId, PacketLog)>,
-    /// Occupancy records carry no ids, so the merge replays them verbatim.
-    pub(crate) ledger: Vec<LedgerRecord>,
-    /// Packets already merged in earlier runs: the global raw index of
-    /// `pkts[0]` (provisional ids must stay valid across run calls).
-    pub(crate) pkt_base: u64,
+    pub(crate) records: Vec<(SimTime, ComponentId, Raw)>,
+    /// Packets captured so far, over every run: the next provisional index
+    /// (provisional ids must stay valid across run calls).
+    pkts: u64,
     /// `(shard + 1) << PKT_TAG_SHIFT`, baked into provisional ids.
     shard_tag: u64,
 }
@@ -183,29 +181,30 @@ pub(crate) struct RawObs {
 impl RawObs {
     fn new(shard: usize) -> Self {
         RawObs {
-            record_spans: false,
-            record_pkts: false,
-            record_ledger: false,
+            armed: Armed::default(),
             events: Vec::new(),
-            spans: Vec::new(),
-            pkts: Vec::new(),
-            ledger: Vec::new(),
-            pkt_base: 0,
+            records: Vec::new(),
+            pkts: 0,
             shard_tag: (shard as u64 + 1) << PKT_TAG_SHIFT,
         }
     }
 
-    /// Capture one packet record, returning its provisional id.
-    pub(crate) fn record_packet(
-        &mut self,
-        time: SimTime,
-        component: ComponentId,
-        log: PacketLog,
-    ) -> CauseId {
-        let idx = self.pkt_base + self.pkts.len() as u64;
-        debug_assert!(idx <= PKT_IDX_MASK, "provisional packet index overflow");
-        self.pkts.push((time, component, log));
-        CauseId(self.shard_tag | idx)
+    /// Capture one record, returning a packet's provisional id.
+    pub(crate) fn capture(&mut self, time: SimTime, component: ComponentId, rec: Raw) -> CauseId {
+        if !self.armed.wants(&rec) {
+            return CauseId::NONE;
+        }
+        let mut id = CauseId::NONE;
+        if let Raw::Pkt(_) = rec {
+            debug_assert!(
+                self.pkts <= PKT_IDX_MASK,
+                "provisional packet index overflow"
+            );
+            id = CauseId(self.shard_tag | self.pkts);
+            self.pkts += 1;
+        }
+        self.records.push((time, component, rec));
+        id
     }
 }
 
@@ -267,7 +266,7 @@ pub struct ParallelEngine<M: 'static> {
     latency: LatencyMatrix,
     /// Per-pair mailboxes, indexed `[from * K + to]`.
     mail: Vec<Mailbox<M>>,
-    /// Per shard: global raw packet index → real netdump id.
+    /// Per shard: provisional packet index → real netdump id.
     pkt_remap: Vec<Vec<CauseId>>,
     /// Components per shard (partition balance, reported by the profiler).
     shard_sizes: Vec<usize>,
@@ -436,64 +435,15 @@ impl<M: Send + 'static> ParallelEngine<M> {
         &mut self.base.counters
     }
 
-    /// The merged trace ring.
-    pub fn trace(&self) -> &Trace {
-        &self.base.trace
+    /// The merged observability stores.
+    pub fn records(&self) -> &Records {
+        &self.base.records
     }
 
-    /// Enable tracing (merged deterministically after each run).
-    pub fn enable_trace(&mut self) {
-        self.base.trace.enable();
-    }
-
-    /// Mutable access to the merged trace.
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.base.trace
-    }
-
-    /// The merged flight recorder.
-    pub fn recorder(&self) -> &FlightRecorder {
-        &self.base.recorder
-    }
-
-    /// Enable flight recording.
-    pub fn enable_recorder(&mut self) {
-        self.base.recorder.enable();
-    }
-
-    /// Mutable access to the merged flight recorder.
-    pub fn recorder_mut(&mut self) -> &mut FlightRecorder {
-        &mut self.base.recorder
-    }
-
-    /// The merged causal netdump.
-    pub fn netdump(&self) -> &NetDump {
-        &self.base.netdump
-    }
-
-    /// Enable causal packet capture.
-    pub fn enable_netdump(&mut self) {
-        self.base.netdump.enable();
-    }
-
-    /// Mutable access to the merged netdump.
-    pub fn netdump_mut(&mut self) -> &mut NetDump {
-        &mut self.base.netdump
-    }
-
-    /// The merged resource-occupancy ledger.
-    pub fn ledger(&self) -> &Ledger {
-        &self.base.ledger
-    }
-
-    /// Enable occupancy-ledger capture.
-    pub fn enable_ledger(&mut self) {
-        self.base.ledger.enable();
-    }
-
-    /// Mutable access to the merged occupancy ledger.
-    pub fn ledger_mut(&mut self) -> &mut Ledger {
-        &mut self.base.ledger
+    /// Mutable access to the merged stores (arm them before a run; the
+    /// merge after each run fills them).
+    pub fn records_mut(&mut self) -> &mut Records {
+        &mut self.base.records
     }
 
     /// Downcast access to a concrete component (routed to its shard).
@@ -557,15 +507,11 @@ impl<M: Send + 'static> ParallelEngine<M> {
     pub fn run_bounded(&mut self, deadline: SimTime, max_events: u64) -> RunOutcome {
         let k = self.shards.len();
         let deadline_ns = deadline.as_ns();
-        let record_spans = self.base.trace.is_enabled() || self.base.recorder.is_enabled();
-        let record_pkts = self.base.netdump.is_enabled();
-        let record_ledger = self.base.ledger.is_enabled();
-        let obs = record_spans || record_pkts || record_ledger;
+        let armed = self.base.records.armed();
+        let obs = armed.any();
         for sh in &mut self.shards {
             sh.engine.halted = false;
-            sh.raw.record_spans = record_spans;
-            sh.raw.record_pkts = record_pkts;
-            sh.raw.record_ledger = record_ledger;
+            sh.raw.armed = armed;
         }
         let mins: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(u64::MAX)).collect();
         let events: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(0)).collect();
@@ -661,11 +607,11 @@ impl<M: Send + 'static> ParallelEngine<M> {
         }
     }
 
-    /// Replay each shard's raw observability into the base trace, flight
-    /// recorder, and netdump, in the exact global delivery order: a k-way
-    /// merge that always takes the shard whose *head delivered-event key*
-    /// is smallest. Packet parents recorded under provisional shard ids are
-    /// remapped to the real ids assigned here.
+    /// Replay each shard's raw records through the base engine's routing
+    /// function, in the exact global delivery order: a k-way merge that
+    /// always takes the shard whose *head delivered-event key* is smallest.
+    /// Packet parents recorded under provisional shard ids are remapped to
+    /// the real ids assigned here.
     fn merge_observability(&mut self) {
         let ParallelEngine {
             base,
@@ -673,8 +619,8 @@ impl<M: Send + 'static> ParallelEngine<M> {
             pkt_remap,
             ..
         } = self;
-        let k = shards.len();
-        let mut cursors = vec![(0usize, 0usize, 0usize, 0usize); k];
+        // Per shard: (next delivered event, next record).
+        let mut cursors = vec![(0usize, 0usize); shards.len()];
         loop {
             let mut best: Option<(u128, usize)> = None;
             for (s, sh) in shards.iter().enumerate() {
@@ -685,50 +631,34 @@ impl<M: Send + 'static> ParallelEngine<M> {
                 }
             }
             let Some((_, s)) = best else { break };
-            let (e, sp, pk, lg) = cursors[s];
+            let (e, r) = cursors[s];
             let raw = &shards[s].raw;
-            let ev = &raw.events[e];
-            for (time, component, event) in &raw.spans[sp..sp + ev.spans as usize] {
-                base.trace.emit(TraceRecord {
-                    time: *time,
-                    component: *component,
-                    event: *event,
-                });
-                base.recorder.observe(*time, event);
-            }
-            for (time, component, log) in &raw.pkts[pk..pk + ev.pkts as usize] {
-                let mut log = *log;
-                if is_provisional(log.parent) {
-                    let from = ((log.parent.0 >> PKT_TAG_SHIFT) - 1) as usize;
-                    let idx = (log.parent.0 & PKT_IDX_MASK) as usize;
-                    log.parent = pkt_remap[from][idx];
+            let n = raw.events[e].records as usize;
+            for &(time, component, rec) in &raw.records[r..r + n] {
+                let rec = match rec {
+                    Raw::Pkt(mut log) if is_provisional(log.parent) => {
+                        let from = ((log.parent.0 >> PKT_TAG_SHIFT) - 1) as usize;
+                        log.parent = pkt_remap[from][(log.parent.0 & PKT_IDX_MASK) as usize];
+                        Raw::Pkt(log)
+                    }
+                    rec => rec,
+                };
+                let id = base.records.route(time, component, rec);
+                if let Raw::Pkt(_) = rec {
+                    debug_assert!(
+                        id.is_some() && !is_provisional(id),
+                        "captured packet got no real netdump id, or one colliding with \
+                         provisional shard ids"
+                    );
+                    pkt_remap[s].push(id);
                 }
-                let real = base.netdump.record(*time, *component, log);
-                debug_assert!(
-                    real.0 <= PKT_IDX_MASK,
-                    "netdump id space collided with provisional shard ids"
-                );
-                pkt_remap[s].push(real);
             }
-            for record in &raw.ledger[lg..lg + ev.lgr as usize] {
-                base.ledger.record(*record);
-            }
-            cursors[s] = (
-                e + 1,
-                sp + ev.spans as usize,
-                pk + ev.pkts as usize,
-                lg + ev.lgr as usize,
-            );
+            cursors[s] = (e + 1, r + n);
         }
         for (s, sh) in shards.iter_mut().enumerate() {
-            debug_assert_eq!(cursors[s].1, sh.raw.spans.len(), "unmerged spans");
-            debug_assert_eq!(cursors[s].2, sh.raw.pkts.len(), "unmerged packets");
-            debug_assert_eq!(cursors[s].3, sh.raw.ledger.len(), "unmerged ledger records");
-            sh.raw.pkt_base += sh.raw.pkts.len() as u64;
+            debug_assert_eq!(cursors[s].1, sh.raw.records.len(), "unmerged records");
             sh.raw.events.clear();
-            sh.raw.spans.clear();
-            sh.raw.pkts.clear();
-            sh.raw.ledger.clear();
+            sh.raw.records.clear();
         }
     }
 }
@@ -919,100 +849,70 @@ impl<M: Send + 'static> ExecEngine<M> {
         }
     }
 
+    /// The (merged) observability stores.
+    pub fn records(&self) -> &Records {
+        match self {
+            ExecEngine::Seq(e) => e.records(),
+            ExecEngine::Par(p) => p.records(),
+        }
+    }
+
+    /// Mutable access to the (merged) observability stores.
+    pub fn records_mut(&mut self) -> &mut Records {
+        match self {
+            ExecEngine::Seq(e) => e.records_mut(),
+            ExecEngine::Par(p) => p.records_mut(),
+        }
+    }
+
     /// The (merged) trace ring.
     pub fn trace(&self) -> &Trace {
-        match self {
-            ExecEngine::Seq(e) => e.trace(),
-            ExecEngine::Par(p) => p.trace(),
-        }
+        &self.records().trace
     }
 
     /// Enable tracing.
     pub fn enable_trace(&mut self) {
-        match self {
-            ExecEngine::Seq(e) => e.enable_trace(),
-            ExecEngine::Par(p) => p.enable_trace(),
-        }
+        self.records_mut().trace.enable();
     }
 
     /// Mutable trace access.
     pub fn trace_mut(&mut self) -> &mut Trace {
-        match self {
-            ExecEngine::Seq(e) => e.trace_mut(),
-            ExecEngine::Par(p) => p.trace_mut(),
-        }
+        &mut self.records_mut().trace
     }
 
     /// The (merged) flight recorder.
     pub fn recorder(&self) -> &FlightRecorder {
-        match self {
-            ExecEngine::Seq(e) => e.recorder(),
-            ExecEngine::Par(p) => p.recorder(),
-        }
+        &self.records().recorder
     }
 
     /// Enable flight recording.
     pub fn enable_recorder(&mut self) {
-        match self {
-            ExecEngine::Seq(e) => e.enable_recorder(),
-            ExecEngine::Par(p) => p.enable_recorder(),
-        }
+        self.records_mut().recorder.enable();
     }
 
     /// Mutable flight-recorder access.
     pub fn recorder_mut(&mut self) -> &mut FlightRecorder {
-        match self {
-            ExecEngine::Seq(e) => e.recorder_mut(),
-            ExecEngine::Par(p) => p.recorder_mut(),
-        }
+        &mut self.records_mut().recorder
     }
 
     /// The (merged) causal netdump.
     pub fn netdump(&self) -> &NetDump {
-        match self {
-            ExecEngine::Seq(e) => e.netdump(),
-            ExecEngine::Par(p) => p.netdump(),
-        }
+        &self.records().netdump
     }
 
     /// Enable causal packet capture.
     pub fn enable_netdump(&mut self) {
-        match self {
-            ExecEngine::Seq(e) => e.enable_netdump(),
-            ExecEngine::Par(p) => p.enable_netdump(),
-        }
-    }
-
-    /// Mutable netdump access.
-    pub fn netdump_mut(&mut self) -> &mut NetDump {
-        match self {
-            ExecEngine::Seq(e) => e.netdump_mut(),
-            ExecEngine::Par(p) => p.netdump_mut(),
-        }
+        self.records_mut().netdump.enable();
     }
 
     /// The (merged) resource-occupancy ledger.
     pub fn ledger(&self) -> &Ledger {
-        match self {
-            ExecEngine::Seq(e) => e.ledger(),
-            ExecEngine::Par(p) => p.ledger(),
-        }
+        &self.records().ledger
     }
 
     /// Enable occupancy-ledger capture.
     pub fn enable_ledger(&mut self) {
-        match self {
-            ExecEngine::Seq(e) => e.enable_ledger(),
-            ExecEngine::Par(p) => p.enable_ledger(),
-        }
-    }
-
-    /// Mutable occupancy-ledger access.
-    pub fn ledger_mut(&mut self) -> &mut Ledger {
-        match self {
-            ExecEngine::Seq(e) => e.ledger_mut(),
-            ExecEngine::Par(p) => p.ledger_mut(),
-        }
+        self.records_mut().ledger.enable();
     }
 
     /// Downcast access to a concrete component.
@@ -1240,7 +1140,7 @@ fn shard_worker<M: Send + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::causal::CausalKind;
+    use crate::causal::{CausalKind, PacketLog};
     use crate::counters::CounterSnapshot;
     use crate::engine::Component;
     use crate::partition::ShardMap;
@@ -1323,8 +1223,8 @@ mod tests {
 
     fn run_seq(n: usize, tokens: usize, deadline: SimTime) -> Observed {
         let mut e = build_ring(n, tokens);
-        e.enable_trace();
-        e.enable_netdump();
+        e.records_mut().trace.enable();
+        e.records_mut().netdump.enable();
         let outcome = e.run_until(deadline);
         Observed {
             now: e.now(),
@@ -1333,8 +1233,8 @@ mod tests {
             logs: (0..n)
                 .map(|i| e.component_ref::<Node>(ComponentId(i)).unwrap().log.clone())
                 .collect(),
-            trace: e.trace().iter().copied().collect(),
-            pkts: e.netdump().records().to_vec(),
+            trace: e.records().trace.iter().copied().collect(),
+            pkts: e.records().netdump.records().to_vec(),
             outcome,
         }
     }
@@ -1343,8 +1243,8 @@ mod tests {
         let engine = build_ring(n, tokens);
         let map = ShardMap::by_node(n, n, shards, |c| c);
         let mut p = ParallelEngine::new(engine, map, SimTime::from_ns(HOP_NS));
-        p.enable_trace();
-        p.enable_netdump();
+        p.records_mut().trace.enable();
+        p.records_mut().netdump.enable();
         let outcome = p.run_until(deadline);
         Observed {
             now: p.now(),
@@ -1353,8 +1253,8 @@ mod tests {
             logs: (0..n)
                 .map(|i| p.component_ref::<Node>(ComponentId(i)).unwrap().log.clone())
                 .collect(),
-            trace: p.trace().iter().copied().collect(),
-            pkts: p.netdump().records().to_vec(),
+            trace: p.records().trace.iter().copied().collect(),
+            pkts: p.records().netdump.records().to_vec(),
             outcome,
         }
     }
@@ -1424,8 +1324,8 @@ mod tests {
         let engine = build_ring(n, 4);
         let map = ShardMap::by_node(n, n, 4, |c| c);
         let mut p = ParallelEngine::new(engine, map, SimTime::from_ns(HOP_NS));
-        p.enable_trace();
-        p.enable_netdump();
+        p.records_mut().trace.enable();
+        p.records_mut().netdump.enable();
         let mut outcome = RunOutcome::Idle;
         for slice in 1..=100u64 {
             outcome = p.run_until(SimTime::from_ns(slice * 1_000));
@@ -1436,9 +1336,9 @@ mod tests {
         assert_eq!(outcome, RunOutcome::Idle);
         assert_eq!(p.now(), full.now);
         assert_eq!(p.events_processed(), full.events);
-        let pkts: Vec<crate::PacketRecord> = p.netdump().records().to_vec();
+        let pkts: Vec<crate::PacketRecord> = p.records().netdump.records().to_vec();
         assert_eq!(pkts, full.pkts);
-        let trace: Vec<crate::TraceRecord> = p.trace().iter().copied().collect();
+        let trace: Vec<crate::TraceRecord> = p.records().trace.iter().copied().collect();
         assert_eq!(trace, full.trace);
     }
 
@@ -1506,8 +1406,8 @@ mod tests {
                 }
             });
             let mut p = ParallelEngine::with_latency(engine, map, lat);
-            p.enable_trace();
-            p.enable_netdump();
+            p.records_mut().trace.enable();
+            p.records_mut().netdump.enable();
             let outcome = p.run_until(SimTime::MAX);
             let par = Observed {
                 now: p.now(),
@@ -1516,8 +1416,8 @@ mod tests {
                 logs: (0..n)
                     .map(|i| p.component_ref::<Node>(ComponentId(i)).unwrap().log.clone())
                     .collect(),
-                trace: p.trace().iter().copied().collect(),
-                pkts: p.netdump().records().to_vec(),
+                trace: p.records().trace.iter().copied().collect(),
+                pkts: p.records().netdump.records().to_vec(),
                 outcome,
             };
             assert_same(&seq, &par, &format!("non-uniform matrix, {shards} shards"));
@@ -1533,8 +1433,8 @@ mod tests {
         let engine = build_ring(n, 12);
         let map = ShardMap::by_node(n, n, 3, |c| c);
         let mut p = ParallelEngine::new(engine, map, SimTime::from_ns(HOP_NS));
-        p.enable_trace();
-        p.enable_netdump();
+        p.records_mut().trace.enable();
+        p.records_mut().netdump.enable();
         assert!(p.prof_snapshot().is_none(), "profiler off by default");
         p.enable_prof();
         let outcome = p.run_until(SimTime::MAX);
@@ -1545,8 +1445,8 @@ mod tests {
             logs: (0..n)
                 .map(|i| p.component_ref::<Node>(ComponentId(i)).unwrap().log.clone())
                 .collect(),
-            trace: p.trace().iter().copied().collect(),
-            pkts: p.netdump().records().to_vec(),
+            trace: p.records().trace.iter().copied().collect(),
+            pkts: p.records().netdump.records().to_vec(),
             outcome,
         };
         assert_same(&seq, &par, "profiled 3-shard run");

@@ -19,11 +19,14 @@
 //! (`flight.phase.<name>`), held in fixed fields indexed by
 //! [`Phase::index`] because the phase set is closed.
 //!
-//! Both the trace ring and the recorder are off by default; the engine
-//! guards emission behind a single pre-computed branch per delivery so the
-//! disabled path costs nothing measurable (checked by `engine_sweep`).
+//! The trace ring and the recorder are two of the engine's
+//! [`crate::Records`], off by default; [`crate::Records`] routes each span
+//! event to both, and the engine guards emission behind a single
+//! pre-computed branch per delivery so the disabled path costs nothing
+//! measurable (checked by `engine_sweep`).
 
 use crate::hist::Histogram;
+use crate::record::RecordLog;
 use crate::time::SimTime;
 use std::fmt;
 
@@ -332,16 +335,14 @@ struct OpenSpan {
 /// latency histograms. Disabled by default; when disabled, `observe` is a
 /// single predicted branch.
 pub struct FlightRecorder {
-    enabled: bool,
-    /// Maximum number of closed spans retained; further closes only feed
-    /// the histograms and bump `dropped`.
-    capacity: usize,
     /// Expected participants per operation; when set, a span closes on the
     /// `participants`-th `OpEnd` instead of waiting for `ended == begun`.
     participants: Option<u32>,
     open: Vec<OpenSpan>,
-    completed: Vec<SpanSummary>,
-    dropped: u64,
+    /// Closed spans: the first `capacity` are retained, later closes only
+    /// feed the histograms and count as dropped. The log's enable flag is
+    /// the recorder's.
+    completed: RecordLog<SpanSummary>,
     /// Phase-carrying events seen while no span was open (not attributable).
     orphaned: u64,
     /// End-to-end latency of every closed span (retained or dropped).
@@ -357,29 +358,21 @@ impl FlightRecorder {
 
     /// Create a disabled recorder (the engine default).
     pub fn disabled() -> Self {
-        FlightRecorder {
-            enabled: false,
-            capacity: 0,
-            participants: None,
-            open: Vec::new(),
-            completed: Vec::new(),
-            dropped: 0,
-            orphaned: 0,
-            op_total: Histogram::new(),
-            phase_hists: Default::default(),
-        }
+        Self::with_log(RecordLog::first(Self::DEFAULT_CAPACITY))
     }
 
     /// Create an enabled recorder retaining up to `capacity` closed spans.
     pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "recorder capacity must be non-zero");
+        let mut log = RecordLog::first(capacity);
+        log.enable();
+        Self::with_log(log)
+    }
+
+    fn with_log(completed: RecordLog<SpanSummary>) -> Self {
         FlightRecorder {
-            enabled: true,
-            capacity,
             participants: None,
             open: Vec::new(),
-            completed: Vec::new(),
-            dropped: 0,
+            completed,
             orphaned: 0,
             op_total: Histogram::new(),
             phase_hists: Default::default(),
@@ -389,16 +382,12 @@ impl FlightRecorder {
     /// Is recording active?
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.completed.is_enabled()
     }
 
-    /// Enable recording (with [`Self::DEFAULT_CAPACITY`] if previously
-    /// disabled).
+    /// Enable recording.
     pub fn enable(&mut self) {
-        if self.capacity == 0 {
-            self.capacity = Self::DEFAULT_CAPACITY;
-        }
-        self.enabled = true;
+        self.completed.enable();
     }
 
     /// Declare how many participants join each operation. With `n` set, a
@@ -414,7 +403,7 @@ impl FlightRecorder {
     /// across calls (engine delivery order guarantees this).
     #[inline]
     pub fn observe(&mut self, time: SimTime, event: &SpanEvent) {
-        if !self.enabled {
+        if !self.is_enabled() {
             return;
         }
         self.observe_slow(time, event);
@@ -498,16 +487,12 @@ impl FlightRecorder {
                 hist.record(ns);
             }
         }
-        if self.completed.len() < self.capacity {
-            self.completed.push(summary);
-        } else {
-            self.dropped += 1;
-        }
+        self.completed.push(summary);
     }
 
     /// Closed spans, in completion order (bounded by the capacity).
     pub fn completed(&self) -> &[SpanSummary] {
-        &self.completed
+        self.completed.as_slice()
     }
 
     /// Number of operations still open.
@@ -518,7 +503,7 @@ impl FlightRecorder {
     /// Closed spans discarded because the retention buffer was full (their
     /// latencies still reached the histograms).
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.completed.dropped()
     }
 
     /// Phase events observed while no span was open.
@@ -543,7 +528,6 @@ impl FlightRecorder {
     pub fn clear(&mut self) {
         self.open.clear();
         self.completed.clear();
-        self.dropped = 0;
         self.orphaned = 0;
         self.op_total = Histogram::new();
         self.phase_hists = Default::default();
@@ -555,10 +539,10 @@ impl fmt::Debug for FlightRecorder {
         write!(
             f,
             "FlightRecorder(enabled={}, open={}, completed={}, dropped={}, orphaned={})",
-            self.enabled,
+            self.is_enabled(),
             self.open.len(),
             self.completed.len(),
-            self.dropped,
+            self.dropped(),
             self.orphaned
         )
     }

@@ -2,12 +2,16 @@
 //!
 //! A [`Trace`] is a bounded ring of `(time, component, event)` records,
 //! where the payload is a typed [`SpanEvent`] (see [`crate::span`]). It is
-//! disabled by default (zero cost beyond a branch); tests enable it to
-//! assert fine-grained protocol behaviour, e.g. "the barrier send token
-//! never waited behind a point-to-point token" or "no ACK was emitted for a
+//! one of the engine's [`crate::Records`] and is fed through the one record
+//! path of [`crate::record`]; unlike the other stores it keeps the *newest*
+//! records, because exporters read the tail of long runs. It is disabled
+//! by default (zero cost beyond a branch); tests enable it to assert
+//! fine-grained protocol behaviour, e.g. "the barrier send token never
+//! waited behind a point-to-point token" or "no ACK was emitted for a
 //! collective packet".
 
 use crate::engine::ComponentId;
+use crate::record::RecordLog;
 use crate::span::SpanEvent;
 use crate::time::SimTime;
 use std::fmt;
@@ -43,91 +47,66 @@ impl TraceRecord {
     }
 }
 
-/// A bounded trace ring. When full, the oldest records are dropped and
-/// [`Trace::dropped`] counts how many.
+/// A bounded trace ring. When full, the oldest records are evicted and
+/// [`Trace::dropped`] counts how many: the exporters read the tail of long
+/// runs (see [`crate::record`] for the per-store retention rules).
 pub struct Trace {
-    enabled: bool,
-    capacity: usize,
-    records: Vec<TraceRecord>,
-    start: usize,
-    dropped: u64,
+    log: RecordLog<TraceRecord>,
 }
 
 impl Trace {
     /// Default ring capacity when enabled.
     pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
-    /// Create a disabled trace.
+    /// Create a disabled trace ([`Self::DEFAULT_CAPACITY`] once enabled).
     pub fn disabled() -> Self {
         Trace {
-            enabled: false,
-            capacity: 0,
-            records: Vec::new(),
-            start: 0,
-            dropped: 0,
+            log: RecordLog::newest(Self::DEFAULT_CAPACITY),
         }
     }
 
     /// Create an enabled trace with the given ring capacity.
     pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "trace capacity must be non-zero");
-        Trace {
-            enabled: true,
-            capacity,
-            records: Vec::with_capacity(capacity.min(1024)),
-            start: 0,
-            dropped: 0,
-        }
+        let mut log = RecordLog::newest(capacity);
+        log.enable();
+        Trace { log }
     }
 
     /// Is recording active?
+    #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.log.is_enabled()
     }
 
-    /// Enable recording (with [`Self::DEFAULT_CAPACITY`] if previously
-    /// disabled).
+    /// Enable recording.
     pub fn enable(&mut self) {
-        if self.capacity == 0 {
-            self.capacity = Self::DEFAULT_CAPACITY;
-        }
-        self.enabled = true;
+        self.log.enable();
     }
 
     /// Append a record if enabled.
     #[inline]
     pub fn emit(&mut self, rec: TraceRecord) {
-        if !self.enabled {
-            return;
-        }
-        if self.records.len() < self.capacity {
-            self.records.push(rec);
-        } else {
-            self.records[self.start] = rec;
-            self.start = (self.start + 1) % self.capacity;
-            self.dropped += 1;
-        }
+        self.log.push(rec);
     }
 
     /// Number of records evicted because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.log.dropped()
     }
 
     /// Number of records currently retained.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.log.len()
     }
 
     /// True if no records are retained.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len() == 0
     }
 
     /// Iterate over retained records in emission order.
     pub fn iter(&self) -> impl Iterator<Item = &TraceRecord> + '_ {
-        let (tail, head) = self.records.split_at(self.start);
-        head.iter().chain(tail.iter())
+        self.log.iter()
     }
 
     /// Records with a given label, in emission order.
@@ -145,9 +124,7 @@ impl Trace {
 
     /// Drop all retained records (keeps enabled state).
     pub fn clear(&mut self) {
-        self.records.clear();
-        self.start = 0;
-        self.dropped = 0;
+        self.log.clear();
     }
 }
 
@@ -156,9 +133,9 @@ impl fmt::Debug for Trace {
         write!(
             f,
             "Trace(enabled={}, len={}, dropped={})",
-            self.enabled,
+            self.is_enabled(),
             self.len(),
-            self.dropped
+            self.dropped()
         )
     }
 }

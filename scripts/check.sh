@@ -32,10 +32,11 @@ skip_gate() {
     echo "check.sh: skipping $1: $2"
 }
 
-# Formatting covers our crates only: vendor/* members are upstream code we
-# keep byte-identical, and rustfmt's `ignore` option is nightly-only.
+# Formatting covers our crates and the root `nicbar` package (src/, tests/,
+# examples/) only: vendor/* members are upstream code we keep
+# byte-identical, and rustfmt's `ignore` option is nightly-only.
 fmt_gate() {
-    local fmt_pkgs=()
+    local fmt_pkgs=(-p nicbar)
     for manifest in crates/*/Cargo.toml; do
         fmt_pkgs+=(-p "$(grep -m1 '^name' "$manifest" | sed 's/.*"\(.*\)"/\1/')")
     done

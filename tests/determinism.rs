@@ -8,19 +8,12 @@
 //! that iterate protocol maps under a timer — is exercised, not just the
 //! lossless fast path.
 
-use nicbar::core::{elan_nic_barrier_flight, gm_nic_barrier_flight, Algorithm, FlightData, RunCfg};
+mod common;
+
+use common::{first_divergence, witness};
+use nicbar::core::{elan_nic_barrier_flight, gm_nic_barrier_flight, Algorithm, RunCfg};
 use nicbar::elan::ElanParams;
 use nicbar::gm::{CollFeatures, GmParams};
-
-/// Byte-exact projection of everything a run observes: trace records in
-/// emission order, span summaries in completion order, histograms,
-/// counters, causal packet records and the final latency statistics.
-fn witness(f: &FlightData) -> String {
-    format!(
-        "substrate={}\nrecords={:?}\ntrace_dropped={}\nspans={:?}\nspans_dropped={}\norphaned={}\nhists={:?}\nstats={:?}\npackets={:?}\npackets_dropped={}\n",
-        f.substrate, f.records, f.trace_dropped, f.spans, f.spans_dropped, f.orphaned, f.hists, f.stats, f.packets, f.packets_dropped
-    )
-}
 
 fn lossy_cfg(seed: u64) -> RunCfg {
     RunCfg {
@@ -49,10 +42,7 @@ fn gm_lossy_8_node_run_is_bit_deterministic() {
     assert!(
         a == b,
         "same seed produced different GM runs; first divergence at byte {}",
-        a.bytes()
-            .zip(b.bytes())
-            .position(|(x, y)| x != y)
-            .unwrap_or_else(|| a.len().min(b.len()))
+        first_divergence(&a, &b)
     );
     // A different seed must actually change the run — otherwise the
     // witness is vacuous (e.g. everything empty).
@@ -87,10 +77,38 @@ fn elan_8_node_run_is_bit_deterministic() {
     assert!(
         a == b,
         "same seed produced different Elan runs; first divergence at byte {}",
-        a.bytes()
-            .zip(b.bytes())
-            .position(|(x, y)| x != y)
-            .unwrap_or_else(|| a.len().min(b.len()))
+        first_divergence(&a, &b)
+    );
+}
+
+/// Bulk traffic arms the occupancy ledger too, so the witness covers the
+/// ledger's record stream and drop count under the same-seed contract.
+#[test]
+fn gm_traffic_run_with_ledger_is_bit_deterministic() {
+    use nicbar::core::{gm_nic_barrier_under_traffic_flight, TrafficCfg};
+    let run = || {
+        gm_nic_barrier_under_traffic_flight(
+            GmParams::lanai_xp(),
+            CollFeatures::paper(),
+            8,
+            Algorithm::Dissemination,
+            RunCfg {
+                iters: 40,
+                ..lossy_cfg(0x1ED6E2)
+            },
+            TrafficCfg {
+                msg_bytes: 4096,
+                outstanding: 2,
+            },
+        )
+    };
+    let (a, b) = (run(), run());
+    assert!(!a.ledger.is_empty(), "traffic flight must arm the ledger");
+    let (a, b) = (witness(&a), witness(&b));
+    assert!(
+        a == b,
+        "same seed produced different ledger-armed runs; first divergence at byte {}",
+        first_divergence(&a, &b)
     );
 }
 

@@ -8,6 +8,9 @@
 //! observability streams in delivered-event order, so every byte must
 //! agree, not just the aggregate latencies.
 
+mod common;
+
+use common::{first_divergence, witness};
 use nicbar::core::{
     build_gm_nic_cluster, elan_nic_barrier_flight, gm_nic_barrier_flight, Algorithm, FlightData,
     RunCfg,
@@ -15,15 +18,6 @@ use nicbar::core::{
 use nicbar::elan::ElanParams;
 use nicbar::gm::{CollFeatures, GmParams};
 use nicbar::sim::EngineSel;
-
-/// Byte-exact projection of everything a run observes (same shape as
-/// `tests/determinism.rs`).
-fn witness(f: &FlightData) -> String {
-    format!(
-        "substrate={}\nrecords={:?}\ntrace_dropped={}\nspans={:?}\nspans_dropped={}\norphaned={}\nhists={:?}\nstats={:?}\npackets={:?}\npackets_dropped={}\nledger={:?}\nledger_dropped={}\n",
-        f.substrate, f.records, f.trace_dropped, f.spans, f.spans_dropped, f.orphaned, f.hists, f.stats, f.packets, f.packets_dropped, f.ledger, f.ledger_dropped
-    )
-}
 
 fn cfg(engine: EngineSel, shards: usize) -> RunCfg {
     RunCfg {
@@ -34,13 +28,6 @@ fn cfg(engine: EngineSel, shards: usize) -> RunCfg {
         shards,
         ..RunCfg::default()
     }
-}
-
-fn first_divergence(a: &str, b: &str) -> usize {
-    a.bytes()
-        .zip(b.bytes())
-        .position(|(x, y)| x != y)
-        .unwrap_or_else(|| a.len().min(b.len()))
 }
 
 fn assert_parity(label: &str, seq: &FlightData, par: &FlightData) {
@@ -381,5 +368,155 @@ fn profile_guided_partition_matches_sequential() {
     for shards in [3, 8] {
         let par = run(EngineSel::Parallel, shards, sel.clone());
         assert_parity(&format!("elan profile-guided shards={shards}"), &seq, &par);
+    }
+}
+
+/// Which stores a partial-enablement case arms.
+#[derive(Clone, Copy)]
+struct Armed {
+    trace: bool,
+    recorder: bool,
+    netdump: bool,
+    ledger: bool,
+}
+
+const fn armed(trace: bool, recorder: bool, netdump: bool, ledger: bool) -> Armed {
+    Armed {
+        trace,
+        recorder,
+        netdump,
+        ledger,
+    }
+}
+
+const ALL_ON: Armed = armed(true, true, true, true);
+
+const PARTIAL: [(&str, Armed); 5] = [
+    ("trace-only", armed(true, false, false, false)),
+    ("recorder-only", armed(false, true, false, false)),
+    ("netdump-only", armed(false, false, true, false)),
+    ("ledger-only", armed(false, false, false, true)),
+    ("all-off", armed(false, false, false, false)),
+];
+
+fn arm<M: Send + 'static>(engine: &mut nicbar::sim::ExecEngine<M>, on: Armed, n: usize) {
+    let records = engine.records_mut();
+    if on.trace {
+        records.trace.enable();
+    }
+    if on.recorder {
+        records.recorder.enable();
+        records.recorder.set_participants(n as u32);
+    }
+    if on.netdump {
+        records.netdump.enable();
+    }
+    if on.ledger {
+        records.ledger.enable();
+    }
+}
+
+const PARTIAL_NODES: usize = 8;
+
+/// Lossy gm NIC barrier with only the `on` stores armed.
+fn gm_armed(on: Armed, engine: EngineSel, shards: usize) -> FlightData {
+    use nicbar::core::{capture_observability, gm_nic_stats};
+    let cfg = RunCfg {
+        drop_prob: 0.02,
+        ..cfg(engine, shards)
+    };
+    let mut c = build_gm_nic_cluster(
+        GmParams::lanai_xp(),
+        CollFeatures::paper(),
+        PARTIAL_NODES,
+        Algorithm::Dissemination,
+        &cfg,
+        false,
+    );
+    arm(&mut c.engine, on, PARTIAL_NODES);
+    assert_eq!(c.run_until(cfg.deadline()), nicbar::sim::RunOutcome::Idle);
+    let stats = gm_nic_stats(&c, PARTIAL_NODES, &cfg);
+    capture_observability("gm", &c.engine, stats)
+}
+
+/// Elan NIC barrier with only the `on` stores armed.
+fn elan_armed(on: Armed, engine: EngineSel, shards: usize) -> FlightData {
+    use nicbar::core::{build_elan_nic_cluster, capture_observability, elan_nic_stats};
+    let cfg = cfg(engine, shards);
+    let mut c = build_elan_nic_cluster(
+        ElanParams::elan3(),
+        PARTIAL_NODES,
+        Algorithm::Dissemination,
+        &cfg,
+        false,
+    );
+    arm(&mut c.engine, on, PARTIAL_NODES);
+    assert_eq!(c.run_until(cfg.deadline()), nicbar::sim::RunOutcome::Idle);
+    let stats = elan_nic_stats(&c, PARTIAL_NODES, &cfg);
+    capture_observability("elan", &c.engine, stats)
+}
+
+/// One record path serves every store, so arming a subset must route each
+/// record into its own store only — on both engines — and must not change
+/// the run: a disabled netdump hands out no ids, yet the trace, spans and
+/// ledger match the all-on run exactly.
+#[test]
+fn partially_armed_stores_match_sequential_and_stay_separate() {
+    type Run = fn(Armed, EngineSel, usize) -> FlightData;
+    let cases: [(&str, Run); 2] = [("gm", gm_armed), ("elan", elan_armed)];
+    for (substrate, run) in cases {
+        let all = run(ALL_ON, EngineSel::Sequential, 1);
+        assert!(
+            !all.records.is_empty()
+                && !all.spans.is_empty()
+                && !all.packets.is_empty()
+                && !all.ledger.is_empty(),
+            "{substrate}: the all-on run must fill every store"
+        );
+        for (label, on) in PARTIAL {
+            let label = format!("{substrate} {label}");
+            let seq = run(on, EngineSel::Sequential, 1);
+            assert_parity(&label, &seq, &run(on, EngineSel::Parallel, 3));
+            assert_eq!(
+                format!("{:?}", seq.stats),
+                format!("{:?}", all.stats),
+                "{label}: arming stores changed the run"
+            );
+            let (trace, spans) = (&seq.records, &seq.spans);
+            let (packets, ledger) = (&seq.packets, &seq.ledger);
+            if on.trace {
+                assert_eq!(trace, &all.records, "{label}: trace differs from all-on");
+            } else {
+                assert!(trace.is_empty() && seq.trace_dropped == 0, "{label}: trace");
+            }
+            if on.recorder {
+                assert_eq!(spans, &all.spans, "{label}: spans differ from all-on");
+                assert_eq!(format!("{:?}", seq.hists), format!("{:?}", all.hists));
+            } else {
+                assert!(
+                    spans.is_empty() && seq.hists.is_empty() && seq.orphaned == 0,
+                    "{label}: recorder"
+                );
+            }
+            if on.netdump {
+                assert_eq!(
+                    packets, &all.packets,
+                    "{label}: netdump differs from all-on"
+                );
+            } else {
+                assert!(
+                    packets.is_empty() && seq.packets_dropped == 0,
+                    "{label}: netdump"
+                );
+            }
+            if on.ledger {
+                assert_eq!(ledger, &all.ledger, "{label}: ledger differs from all-on");
+            } else {
+                assert!(
+                    ledger.is_empty() && seq.ledger_dropped == 0,
+                    "{label}: ledger"
+                );
+            }
+        }
     }
 }
