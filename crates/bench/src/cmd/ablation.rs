@@ -11,7 +11,7 @@ use nicbar_bench::figure_cfg;
 use nicbar_core::{gm_nic_barrier, Algorithm};
 use nicbar_gm::{CollFeatures, GmParams};
 
-fn main() {
+pub fn run(_: &crate::cli::Args) {
     let cfg = figure_cfg();
     let n = 8;
     let run = |label: &str, f: CollFeatures| {

@@ -7,17 +7,17 @@
 //! This harness runs all three NIC-based algorithms (plus GB at two tree
 //! degrees) on both substrates so §5.2's dismissal is reproducible.
 //!
-//! Shares the figure-binary CLI (`fig_args`): `--quick` shrinks the sweep
-//! for CI smoke runs, `--engine`/`--shards` select the execution engine.
+//! `--quick` shrinks the sweep for CI smoke runs, `--engine`/`--shards`
+//! select the execution engine.
 
-use nicbar_bench::{fig_args, parallel_sweep, Figure, Manifest, Series};
+use crate::cli::{engine_label, Args};
+use nicbar_bench::{parallel_sweep, Figure, Manifest, Series};
 use nicbar_core::{elan_nic_barrier, gm_nic_barrier, Algorithm};
 use nicbar_elan::ElanParams;
 use nicbar_gm::{CollFeatures, GmParams};
 
-fn main() {
-    let args = fig_args();
-    let (quick, cfg) = (args.quick, args.cfg);
+pub fn run(args: &Args) {
+    let (quick, cfg) = (args.quick, args.run_cfg());
     // Keep a non-power-of-two point under --quick: that is where DS and PE
     // diverge and GB's tree shape matters.
     let ns: Vec<usize> = if quick {
@@ -59,8 +59,11 @@ fn main() {
     .with_manifest(Manifest::new(
         cfg.seed,
         format!(
-            "gm lanai-xp, n=2..=16, warmup={}, iters={}, quick={}",
-            cfg.warmup, cfg.iters, quick
+            "gm lanai-xp, n=2..=16, warmup={}, iters={}, quick={}, {}",
+            cfg.warmup,
+            cfg.iters,
+            quick,
+            engine_label(&cfg)
         ),
     ));
     fig.print();
@@ -89,8 +92,11 @@ fn main() {
     .with_manifest(Manifest::new(
         cfg.seed,
         format!(
-            "elan3, n=2..=16, warmup={}, iters={}, quick={}",
-            cfg.warmup, cfg.iters, quick
+            "elan3, n=2..=16, warmup={}, iters={}, quick={}, {}",
+            cfg.warmup,
+            cfg.iters,
+            quick,
+            engine_label(&cfg)
         ),
     ));
     fig.print();

@@ -14,8 +14,9 @@
 //! records, ≥95% of critical-path wait time attributed to a named owner, a
 //! named top interferer, and sequential/parallel byte-parity.
 
+use crate::cli::Args;
 use nicbar_bench::critpath::{self, Interference};
-use nicbar_bench::{fig_args, json::Writer, trajectory, Manifest};
+use nicbar_bench::{json::Writer, trajectory, Manifest};
 use nicbar_core::{
     elan_contend_flight, gm_contend_flight, Algorithm, FlightData, RunCfg, TrafficCfg,
     CONTEND_GROUP_BASE,
@@ -235,10 +236,10 @@ fn artifact_json(reports: &[SubstrateReport], n: usize, groups: usize, m: &Manif
     w.finish()
 }
 
-fn main() {
-    let args = fig_args();
-    let argv: Vec<String> = std::env::args().collect();
-    let check = argv.iter().any(|a| a == "--check");
+pub fn run(args: &Args) {
+    let check = args.check;
+    let base = args.run_cfg();
+    let shards = base.shards.max(2);
     // The contend run keeps every observability stream on (the ledger
     // records every NIC charge), so the epoch counts stay deliberately
     // small; `--quick` shrinks them further for the CI smoke.
@@ -250,7 +251,7 @@ fn main() {
                 warmup: 2,
                 iters: 8,
                 skew_us: 1.0,
-                ..args.cfg
+                ..base
             },
         )
     } else {
@@ -261,7 +262,7 @@ fn main() {
                 warmup: 5,
                 iters: 24,
                 skew_us: 1.0,
-                ..args.cfg
+                ..base
             },
         )
     };
@@ -269,7 +270,6 @@ fn main() {
         msg_bytes: 4096,
         outstanding: 2,
     };
-    let shards = args.cfg.shards.max(2);
 
     let reports: Vec<SubstrateReport> = ["gm", "elan"]
         .into_iter()

@@ -1,4 +1,4 @@
-//! `engine_prof` — the parallel engine profiling itself.
+//! `engine-prof` — the parallel engine profiling itself.
 //!
 //! Arms the shard self-profiler ([`nicbar_sim::ShardProf`]) on a parallel
 //! figure-scale barrier run and renders the three views of the capture:
@@ -7,29 +7,24 @@
 //! shard-lane timeline (`--chrome PATH`), and the manifest-stamped
 //! `results/engine_prof.json`.
 //!
-//! Flags:
-//!
-//! * `--quick` — CI smoke: 2 shards × 64 nodes instead of the full
-//!   8 shards × 4096; never writes `results/`.
-//! * `--check` — gate mode: assert the profile accounts for ≥95% of worker
-//!   wall time and (full mode only) that the *disabled* profiler keeps the
-//!   one-shard engine overhead within 2 percentage points of the committed
-//!   `results/engine_sweep.json` baseline, and that the bottleneck the
-//!   committed `results/engine_prof_pr7.json` capture named has a strictly
-//!   smaller share of lost time today. On failure the report's top
-//!   bottleneck attribution is printed before exiting non-zero.
-//! * `--shards K`, `--nodes N` — override the run shape (shards clamp to
-//!   the node count — excess shards would sit empty yet pay every window
-//!   barrier).
-//! * `--partition contiguous|profile=PATH` — partition strategy; `profile=`
-//!   closes the loop by feeding a prior capture back into the partitioner.
-//! * `--chrome PATH` — write the shard-lane timeline as Chrome trace JSON.
-//!
-//! Run with `cargo run --release -p nicbar-bench --bin engine_prof`.
+//! `--quick` is the CI smoke: 2 shards × 64 nodes instead of the full
+//! 8 shards × 4096, and it never writes `results/`. `--check` is the gate
+//! mode: assert the profile accounts for ≥95% of worker wall time and
+//! (full mode only) that the *disabled* profiler keeps the one-shard engine
+//! overhead within 2 percentage points of the committed
+//! `results/engine_sweep.json` baseline, and that the bottleneck the
+//! committed `results/engine_prof_pr7.json` capture named has a strictly
+//! smaller share of lost time today. On failure the report's top
+//! bottleneck attribution is printed before exiting non-zero.
+//! `--shards`/`--nodes` override the run shape (shards clamp to the node
+//! count — excess shards would sit empty yet pay every window barrier),
+//! and `--partition profile=PATH` closes the loop by feeding a prior
+//! capture back into the partitioner.
 
+use crate::cli::Args;
 use nicbar_bench::engineprof;
 use nicbar_bench::json::Manifest;
-use nicbar_core::{build_gm_nic_cluster, gm_nic_barrier, Algorithm, RunCfg};
+use nicbar_core::{build_gm_nic_cluster, Algorithm, RunCfg};
 use nicbar_gm::{CollFeatures, GmParams};
 use nicbar_sim::{EngineProf, EngineSel, RunOutcome};
 use std::time::Instant;
@@ -67,56 +62,17 @@ fn capture(nodes: usize, shards: usize, cfg: &RunCfg) -> (EngineProf, f64) {
     (prof, wall_s)
 }
 
-/// The fig5 figure point (n=16, gm, dissemination) under an explicit
-/// engine, with the profiler left DISABLED — the same workload
-/// `engine_sweep` committed its one-shard baseline from.
-fn fig5_disabled_run(engine: EngineSel, shards: usize) -> f64 {
-    let cfg = RunCfg {
-        warmup: 50,
-        iters: 5000,
-        engine,
-        shards,
-        ..RunCfg::default()
-    };
-    let start = Instant::now();
-    gm_nic_barrier(
-        GmParams::lanai_9_1(),
-        CollFeatures::paper(),
-        16,
-        Algorithm::Dissemination,
-        cfg,
-    );
-    start.elapsed().as_secs_f64()
-}
-
 /// Disabled-path overhead gate: with the profiler never armed, the
 /// parallel engine at one shard must stay within [`OVERHEAD_SLACK`] of the
-/// committed baseline overhead. Paired back-to-back repeats with
-/// alternating order, best pair wins — the same noise discipline as
-/// `engine_sweep`'s gate.
+/// committed baseline overhead, timed exactly as `engine-sweep` timed that
+/// baseline (the fig5 point, best of paired back-to-back repeats).
 fn disabled_overhead_gate() -> Result<(), String> {
     let baseline = engineprof::baseline_one_shard_overhead("results/engine_sweep.json");
     let Some(baseline) = baseline else {
         println!("no results/engine_sweep.json baseline; skipping overhead gate");
         return Ok(());
     };
-    const GATE_REPEATS: usize = 7;
-    let mut best: Option<(f64, f64)> = None;
-    for r in 0..GATE_REPEATS {
-        let (seq, par) = if r % 2 == 0 {
-            let s = fig5_disabled_run(EngineSel::Sequential, 1);
-            let p = fig5_disabled_run(EngineSel::Parallel, 1);
-            (s, p)
-        } else {
-            let p = fig5_disabled_run(EngineSel::Parallel, 1);
-            let s = fig5_disabled_run(EngineSel::Sequential, 1);
-            (s, p)
-        };
-        if best.is_none_or(|(bs, bp)| par / seq < bp / bs) {
-            best = Some((seq, par));
-        }
-    }
-    let (seq_s, par_s) = best.expect("at least one repeat");
+    let (seq_s, par_s) = super::engine_sweep::best_one_shard_pair();
     let overhead = par_s / seq_s - 1.0;
     // The gate is against the committed baseline, floored at zero: a
     // baseline that happened to measure the parallel wrapper as *faster*
@@ -186,31 +142,12 @@ fn print_attribution(prof: &EngineProf) {
     );
 }
 
-fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let quick = argv.iter().any(|a| a == "--quick");
-    let check = argv.iter().any(|a| a == "--check");
-    let value_of = |flag: &str| -> Option<&str> {
-        argv.iter().position(|a| a == flag).map(|i| {
-            argv.get(i + 1)
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-                .as_str()
-        })
-    };
-    let (mut nodes, mut shards) = if quick { (64, 2) } else { (4096, 8) };
-    if let Some(v) = value_of("--nodes") {
-        nodes = v.parse().expect("--nodes must be an integer");
-    }
-    if let Some(v) = value_of("--shards") {
-        shards = v.parse().expect("--shards must be an integer");
-        assert!(shards >= 1, "--shards must be >= 1");
-    }
-    let chrome = value_of("--chrome").map(str::to_string);
-    let partition = value_of("--partition")
-        .map(nicbar_bench::parse_partition)
-        .unwrap_or_default();
+pub fn run(args: &Args) {
+    let quick = args.quick;
+    let nodes = args.nodes.unwrap_or(if quick { 64 } else { 4096 });
+    let shards = args.shards.unwrap_or(if quick { 2 } else { 8 });
     // Excess shards would sit empty yet still pay every window barrier.
-    shards = shards.min(nodes);
+    let shards = shards.min(nodes);
 
     // Figure-scale iteration counts: at 4096 nodes a handful of barrier
     // iterations already runs millions of events per shard, which is what
@@ -220,16 +157,16 @@ fn main() {
         iters: if quick { 30 } else { 8 },
         engine: EngineSel::Parallel,
         shards,
-        partition,
+        partition: args.partition.clone(),
         ..RunCfg::default()
     };
     let label = format!("gm NIC-DS, {nodes} nodes");
-    println!("== engine_prof: profiling {label}, {shards} shards ==\n");
+    println!("== engine-prof: profiling {label}, {shards} shards ==\n");
     let (prof, wall_s) = capture(nodes, shards, &cfg);
     print!("{}", engineprof::report(&prof, &label, wall_s));
 
-    if let Some(path) = chrome {
-        std::fs::write(&path, engineprof::chrome_trace(&prof)).expect("write chrome trace");
+    if let Some(path) = &args.chrome {
+        std::fs::write(path, engineprof::chrome_trace(&prof)).expect("write chrome trace");
         println!("\n[saved {path}]");
     }
 
@@ -245,11 +182,11 @@ fn main() {
         println!("\n[saved {path}]");
     }
 
-    if !check {
+    if !args.check {
         return;
     }
 
-    println!("\n== engine_prof --check ==\n");
+    println!("\n== engine-prof --check ==\n");
     let accounted = prof.accounted_fraction();
     println!(
         "wall accounting: {:.1}% of worker wall time (gate: >= {:.0}%)",
@@ -258,7 +195,7 @@ fn main() {
     );
     if accounted < ACCOUNTING_GATE {
         eprintln!(
-            "engine_prof --check: profile accounts for only {:.1}% of worker wall time",
+            "engine-prof --check: profile accounts for only {:.1}% of worker wall time",
             accounted * 100.0
         );
         print_attribution(&prof);
@@ -272,15 +209,15 @@ fn main() {
 
     if !quick {
         if let Err(msg) = bottleneck_delta_gate(&prof) {
-            eprintln!("engine_prof --check: {msg}");
+            eprintln!("engine-prof --check: {msg}");
             print_attribution(&prof);
             std::process::exit(1);
         }
         if let Err(msg) = disabled_overhead_gate() {
-            eprintln!("engine_prof --check: {msg}");
+            eprintln!("engine-prof --check: {msg}");
             print_attribution(&prof);
             std::process::exit(1);
         }
     }
-    println!("\nengine_prof --check: all gates passed ✓");
+    println!("\nengine-prof --check: all gates passed ✓");
 }

@@ -6,8 +6,6 @@
 //! `BinaryHeap` baseline — and verifies that they produce bit-identical
 //! simulation results while doing so. Writes `results/engine_sweep.json`.
 //!
-//! Run with `cargo run --release -p nicbar-bench --bin engine_sweep`.
-//!
 //! `--quick [--baseline PATH]` runs only the timing-wheel micro workloads
 //! and compares their throughput against a previously saved
 //! `results/engine_sweep.json`, exiting non-zero on a >5% geomean
@@ -19,199 +17,18 @@
 //! criterion) — reported, not gated, because cross-thread throughput on a
 //! loaded CI box is too noisy for a hard threshold.
 
+use crate::cli::Args;
 use nicbar_bench::json::{Manifest, Writer};
-use nicbar_bench::seed_engine::{SeedComponent, SeedCtx, SeedEngine};
+use nicbar_bench::micro::{
+    fanout_run, flows_run, ring_hop_run, seed_fanout_run, seed_flows_run, seed_ring_hop_run,
+};
 use nicbar_core::{elan_nic_barrier, gm_nic_barrier, Algorithm, RunCfg};
 use nicbar_elan::ElanParams;
 use nicbar_gm::{CollFeatures, GmParams};
-use nicbar_sim::{Component, ComponentId, Ctx, Engine, EngineSel, SchedulerKind, SimTime};
+use nicbar_sim::{EngineSel, SchedulerKind};
 use std::time::Instant;
 
-const RING_EVENTS: u64 = 400_000;
-const FANOUT_DEPTH: u32 = 9;
-/// Concurrent tokens in the `flows` workload — the steady queue depth the
-/// paper's figure simulations actually run at (nodes × in-flight messages).
-const FLOW_TOKENS: usize = 64;
 const REPEATS: usize = 5;
-
-enum Msg {
-    Hop(u64),
-    Spawn(u32),
-}
-
-/// Bounces an event around a ring — pop-dominated scheduler load.
-struct RingHop {
-    next: ComponentId,
-    stride: u64,
-}
-
-impl Component<Msg> for RingHop {
-    fn handle(&mut self, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
-        match msg {
-            Msg::Hop(remaining) => {
-                if remaining > 0 {
-                    ctx.send(
-                        SimTime::from_ns(self.stride),
-                        self.next,
-                        Msg::Hop(remaining - 1),
-                    );
-                }
-            }
-            Msg::Spawn(_) => unreachable!(),
-        }
-    }
-}
-
-/// Every event schedules four children — push/heap-pressure load.
-struct FanOut;
-
-impl Component<Msg> for FanOut {
-    fn handle(&mut self, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
-        match msg {
-            Msg::Spawn(depth) => {
-                if depth > 0 {
-                    for k in 0..4u64 {
-                        ctx.send_self(SimTime::from_ns(10 + k), Msg::Spawn(depth - 1));
-                    }
-                }
-            }
-            Msg::Hop(_) => unreachable!(),
-        }
-    }
-}
-
-fn ring_hop_run(kind: SchedulerKind) -> (u64, f64) {
-    let mut engine: Engine<Msg> = Engine::with_scheduler(0, kind);
-    let ids: Vec<ComponentId> = (0..16).map(|_| engine.reserve_id()).collect();
-    for (i, &id) in ids.iter().enumerate() {
-        engine.install(
-            id,
-            RingHop {
-                next: ids[(i + 1) % ids.len()],
-                stride: 10,
-            },
-        );
-    }
-    engine.schedule_at(SimTime::ZERO, ids[0], Msg::Hop(RING_EVENTS));
-    let start = Instant::now();
-    engine.run();
-    (engine.events_processed(), start.elapsed().as_secs_f64())
-}
-
-/// `FLOW_TOKENS` tokens circulating a ring at staggered strides: sustained
-/// queue depth of `FLOW_TOKENS`, the profile the figure sims run at.
-fn flows_run(kind: SchedulerKind) -> (u64, f64) {
-    let mut engine: Engine<Msg> = Engine::with_scheduler(0, kind);
-    let ids: Vec<ComponentId> = (0..FLOW_TOKENS).map(|_| engine.reserve_id()).collect();
-    for (i, &id) in ids.iter().enumerate() {
-        engine.install(
-            id,
-            RingHop {
-                next: ids[(i + 1) % ids.len()],
-                stride: 5 + (i as u64 % 13),
-            },
-        );
-    }
-    let hops = RING_EVENTS / FLOW_TOKENS as u64;
-    for (i, &id) in ids.iter().enumerate() {
-        engine.schedule_at(SimTime::from_ns(i as u64), id, Msg::Hop(hops));
-    }
-    let start = Instant::now();
-    engine.run();
-    (engine.events_processed(), start.elapsed().as_secs_f64())
-}
-
-fn fanout_run(kind: SchedulerKind) -> (u64, f64) {
-    let mut engine: Engine<Msg> = Engine::with_scheduler(0, kind);
-    let id = engine.add(FanOut);
-    engine.schedule_at(SimTime::ZERO, id, Msg::Spawn(FANOUT_DEPTH));
-    let start = Instant::now();
-    engine.run();
-    (engine.events_processed(), start.elapsed().as_secs_f64())
-}
-
-// The same workloads on the seed engine replica — the original whole-entry
-// `BinaryHeap` + pending-drain + `Option::take` hot path — so the sweep
-// tracks the overhaul's full speedup, not just the queue swap.
-
-struct SeedWorker {
-    next: ComponentId,
-    stride: u64,
-}
-
-impl SeedComponent<Msg> for SeedWorker {
-    fn handle(&mut self, msg: Msg, ctx: &mut SeedCtx<'_, Msg>) {
-        match msg {
-            Msg::Hop(remaining) => {
-                if remaining > 0 {
-                    ctx.send(
-                        SimTime::from_ns(self.stride),
-                        self.next,
-                        Msg::Hop(remaining - 1),
-                    );
-                }
-            }
-            Msg::Spawn(depth) => {
-                if depth > 0 {
-                    for k in 0..4u64 {
-                        ctx.send_self(SimTime::from_ns(10 + k), Msg::Spawn(depth - 1));
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn seed_ring_hop_run() -> (u64, f64) {
-    let mut engine: SeedEngine<Msg> = SeedEngine::new();
-    let ids: Vec<ComponentId> = (0..16).map(|_| engine.reserve_id()).collect();
-    for (i, &id) in ids.iter().enumerate() {
-        engine.install(
-            id,
-            SeedWorker {
-                next: ids[(i + 1) % ids.len()],
-                stride: 10,
-            },
-        );
-    }
-    engine.schedule_at(SimTime::ZERO, ids[0], Msg::Hop(RING_EVENTS));
-    let start = Instant::now();
-    engine.run();
-    (engine.events_processed(), start.elapsed().as_secs_f64())
-}
-
-fn seed_flows_run() -> (u64, f64) {
-    let mut engine: SeedEngine<Msg> = SeedEngine::new();
-    let ids: Vec<ComponentId> = (0..FLOW_TOKENS).map(|_| engine.reserve_id()).collect();
-    for (i, &id) in ids.iter().enumerate() {
-        engine.install(
-            id,
-            SeedWorker {
-                next: ids[(i + 1) % ids.len()],
-                stride: 5 + (i as u64 % 13),
-            },
-        );
-    }
-    let hops = RING_EVENTS / FLOW_TOKENS as u64;
-    for (i, &id) in ids.iter().enumerate() {
-        engine.schedule_at(SimTime::from_ns(i as u64), id, Msg::Hop(hops));
-    }
-    let start = Instant::now();
-    engine.run();
-    (engine.events_processed(), start.elapsed().as_secs_f64())
-}
-
-fn seed_fanout_run() -> (u64, f64) {
-    let mut engine: SeedEngine<Msg> = SeedEngine::new();
-    let id = engine.add(SeedWorker {
-        next: ComponentId(0),
-        stride: 10,
-    });
-    engine.schedule_at(SimTime::ZERO, id, Msg::Spawn(FANOUT_DEPTH));
-    let start = Instant::now();
-    engine.run();
-    (engine.events_processed(), start.elapsed().as_secs_f64())
-}
 
 fn sweep_cfg(kind: SchedulerKind) -> RunCfg {
     RunCfg {
@@ -258,15 +75,15 @@ fn fig5_engine_run(engine: EngineSel, shards: usize) -> (f64, f64) {
     (stats.mean_us, start.elapsed().as_secs_f64())
 }
 
-/// The parallel engine at one shard must be a cheap wrapper around the
-/// sequential core: same simulated latency, and ≤5% wall-clock overhead on
-/// the fig5 figure point. Each repeat times the two engines back to back
-/// and the gate takes the *best pair ratio* — host-load drift (a shared CI
+/// Time the fig5 point on the sequential engine and on the parallel engine
+/// at one shard, and return the `(seq_wall_s, par_wall_s)` pair with the
+/// best ratio. Each repeat times the two engines back to back and the
+/// caller gates on the *best pair ratio* — host-load drift (a shared CI
 /// box that slows down mid-gate) hits both halves of a pair equally, where
 /// independent min-of-N on each side can charge one engine for a slow
-/// phase the other never saw. Returns `(seq_wall_s, par_wall_s)` (the best
-/// pair) for the JSON report.
-fn parallel_one_shard_gate() -> (f64, f64) {
+/// phase the other never saw. Both engines must report the same simulated
+/// latency.
+pub fn best_one_shard_pair() -> (f64, f64) {
     const GATE_REPEATS: usize = 7;
     let mut best: Option<(f64, f64)> = None;
     // Alternate which engine goes first each repeat, so same-pair ordering
@@ -289,7 +106,14 @@ fn parallel_one_shard_gate() -> (f64, f64) {
             best = Some((seq.1, par.1));
         }
     }
-    let (seq_s, par_s) = best.expect("at least one repeat");
+    best.expect("at least one repeat")
+}
+
+/// The parallel engine at one shard must be a cheap wrapper around the
+/// sequential core: ≤5% wall-clock overhead on the fig5 figure point, by
+/// [`best_one_shard_pair`]. Returns that pair for the JSON report.
+fn parallel_one_shard_gate() -> (f64, f64) {
+    let (seq_s, par_s) = best_one_shard_pair();
     let overhead = par_s / seq_s - 1.0;
     println!(
         "parallel 1-shard overhead on fig5_n16: sequential {seq_s:.3} s, parallel {par_s:.3} s ({:+.1}%)",
@@ -494,7 +318,7 @@ fn quick_gate(baseline_path: &str) -> ! {
         !baseline.is_empty(),
         "no timing_wheel micro rows in {baseline_path}"
     );
-    println!("== engine_sweep --quick: timing wheel vs {baseline_path} ==\n");
+    println!("== engine-sweep --quick: timing wheel vs {baseline_path} ==\n");
     // Each micro run lasts ~10 ms, so quick mode can afford many repeats;
     // taking the minimum over 25 runs filters out transient machine load
     // (noise only ever slows a run down, never speeds it up).
@@ -532,27 +356,24 @@ fn quick_gate(baseline_path: &str) -> ! {
     println!("\ngeomean ratio: {geomean:.3} (gate: >= {TOLERANCE})");
     if geomean < TOLERANCE {
         eprintln!(
-            "engine_sweep --quick: throughput regressed {:.1}% vs baseline",
+            "engine-sweep --quick: throughput regressed {:.1}% vs baseline",
             (1.0 - geomean) * 100.0
         );
         std::process::exit(1);
     }
-    println!("engine_sweep --quick: within tolerance ✓\n");
+    println!("engine-sweep --quick: within tolerance ✓\n");
     mailbox_report();
     parallel_one_shard_gate();
     std::process::exit(0);
 }
 
-fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.iter().any(|a| a == "--quick") {
-        let baseline = argv
-            .iter()
-            .position(|a| a == "--baseline")
-            .and_then(|i| argv.get(i + 1))
-            .map(String::as_str)
-            .unwrap_or("results/engine_sweep.json");
-        quick_gate(baseline);
+pub fn run(args: &Args) {
+    if args.quick {
+        quick_gate(
+            args.baseline
+                .as_deref()
+                .unwrap_or("results/engine_sweep.json"),
+        );
     }
 
     let kinds = [
@@ -561,7 +382,7 @@ fn main() {
         SchedulerKind::ClassicBinaryHeap,
     ];
 
-    println!("== engine_sweep: scheduler throughput ==\n");
+    println!("== engine-sweep: scheduler throughput ==\n");
     // (workload, per-scheduler (events, best seconds)); the seed replica
     // rides along as the third row of each workload.
     let mut micro: Vec<(&str, Vec<MicroRow>)> = Vec::new();
@@ -604,7 +425,7 @@ fn main() {
         micro.push((label, rows));
     }
 
-    println!("\n== engine_sweep: end-to-end figure points ==\n");
+    println!("\n== engine-sweep: end-to-end figure points ==\n");
     // (figure point, per-kind (mean_us, best wall seconds))
     let mut figures: Vec<(&str, Vec<FigRow>)> = Vec::new();
     for (label, run) in [
@@ -741,33 +562,4 @@ fn main() {
     let path = "results/engine_sweep.json";
     std::fs::write(path, w.finish()).expect("write engine_sweep.json");
     println!("\n[saved {path}]");
-
-    // `--prof`: profile the fig5 point on the parallel engine so the sweep
-    // can explain its own parallel wall times, not just report them.
-    if argv.iter().any(|a| a == "--prof") {
-        let cfg = RunCfg {
-            warmup: 50,
-            iters: 5000,
-            engine: EngineSel::Parallel,
-            shards: 2,
-            ..RunCfg::default()
-        };
-        let mut cluster = nicbar_core::build_gm_nic_cluster(
-            GmParams::lanai_9_1(),
-            CollFeatures::paper(),
-            16,
-            Algorithm::Dissemination,
-            &cfg,
-            false,
-        );
-        if let Some((prof, wall_s)) =
-            nicbar_bench::engineprof::profile_run(&mut cluster.engine, cfg.deadline())
-        {
-            println!();
-            print!(
-                "{}",
-                nicbar_bench::engineprof::report(&prof, "fig5_n16 NIC-DS", wall_s)
-            );
-        }
-    }
 }

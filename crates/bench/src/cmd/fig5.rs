@@ -7,21 +7,15 @@
 //! Writes `results/fig5.json` (the figure, mean latency per node count)
 //! and `BENCH_fig5.json` at the repo root (the perf trajectory: median +
 //! p99 per node count with the run manifest embedded). `--quick` shrinks
-//! the sweep for CI smoke runs; `--flight` adds a phase-breakdown capture.
+//! the sweep for CI smoke runs.
 
-use nicbar_bench::{
-    engineprof, fig_args, parallel_sweep_map, trajectory, Figure, Manifest, Series,
-};
-use nicbar_core::{
-    build_gm_nic_cluster, gm_host_barrier, gm_nic_barrier, gm_nic_barrier_flight, Algorithm,
-    BarrierStats, RunCfg,
-};
+use crate::cli::{engine_label, Args};
+use nicbar_bench::{parallel_sweep_map, trajectory, Figure, Manifest, Series};
+use nicbar_core::{gm_host_barrier, gm_nic_barrier, Algorithm, BarrierStats};
 use nicbar_gm::{CollFeatures, GmParams};
-use nicbar_sim::EngineSel;
 
-fn main() {
-    let args = fig_args();
-    let (quick, flight, cfg) = (args.quick, args.flight, args.cfg);
+pub fn run(args: &Args) {
+    let (quick, cfg) = (args.quick, args.run_cfg());
     let ns: Vec<usize> = if quick {
         vec![2, 4, 8, 16]
     } else {
@@ -48,12 +42,13 @@ fn main() {
     let manifest = Manifest::new(
         cfg.seed,
         format!(
-            "gm lanai-9.1, n={}..={}, warmup={}, iters={}, quick={}",
+            "gm lanai-9.1, n={}..={}, warmup={}, iters={}, quick={}, {}",
             ns.first().copied().unwrap_or(0),
             ns.last().copied().unwrap_or(0),
             cfg.warmup,
             cfg.iters,
-            quick
+            quick,
+            engine_label(&cfg)
         ),
     );
 
@@ -101,52 +96,5 @@ fn main() {
             "               improvement factor @16 = 3.38x (sim {:.2}x)",
             host16 / nic16
         );
-    }
-
-    // Opt-in flight recording: a short instrumented window at the top node
-    // count, showing where the NIC barrier's latency goes phase by phase.
-    if flight {
-        println!();
-        let cap = gm_nic_barrier_flight(
-            GmParams::lanai_9_1(),
-            CollFeatures::paper(),
-            top,
-            Algorithm::Dissemination,
-            RunCfg {
-                warmup: 2,
-                iters: 8,
-                ..RunCfg::default()
-            },
-        );
-        nicbar_bench::flight::print_breakdown(&cap);
-    }
-
-    // Opt-in engine self-profile: rerun the top point on the parallel
-    // engine with the shard profiler armed and explain where the engine's
-    // own wall time went.
-    if args.prof {
-        let shards = cfg.shards.max(2);
-        let prof_cfg = RunCfg {
-            engine: EngineSel::Parallel,
-            shards,
-            ..cfg.clone()
-        };
-        let mut cluster = build_gm_nic_cluster(
-            GmParams::lanai_9_1(),
-            CollFeatures::paper(),
-            top,
-            Algorithm::Dissemination,
-            &prof_cfg,
-            false,
-        );
-        if let Some((prof, wall_s)) =
-            engineprof::profile_run(&mut cluster.engine, prof_cfg.deadline())
-        {
-            println!();
-            print!(
-                "{}",
-                engineprof::report(&prof, &format!("fig5 NIC-DS, {top} nodes"), wall_s)
-            );
-        }
     }
 }

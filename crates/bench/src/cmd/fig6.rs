@@ -5,16 +5,16 @@
 //! smaller than the 9.1 cluster's factor because the faster host CPU and
 //! PCI-X bus leave less overhead for the NIC to remove.
 //!
-//! Shares the figure-binary CLI (`fig_args`): `--quick` shrinks the sweep
-//! for CI smoke runs, `--engine`/`--shards` select the execution engine.
+//! `--quick` shrinks the sweep for CI smoke runs, `--engine`/`--shards`
+//! select the execution engine.
 
-use nicbar_bench::{fig_args, parallel_sweep, Figure, Manifest, Series};
+use crate::cli::{engine_label, Args};
+use nicbar_bench::{parallel_sweep, Figure, Manifest, Series};
 use nicbar_core::{gm_host_barrier, gm_nic_barrier, Algorithm};
 use nicbar_gm::{CollFeatures, GmParams};
 
-fn main() {
-    let args = fig_args();
-    let (quick, cfg) = (args.quick, args.cfg);
+pub fn run(args: &Args) {
+    let (quick, cfg) = (args.quick, args.run_cfg());
     let ns: Vec<usize> = if quick {
         vec![2, 4, 8]
     } else {
@@ -46,8 +46,11 @@ fn main() {
     .with_manifest(Manifest::new(
         cfg.seed,
         format!(
-            "gm lanai-xp, n=2..=8, warmup={}, iters={}, quick={}",
-            cfg.warmup, cfg.iters, quick
+            "gm lanai-xp, n=2..=8, warmup={}, iters={}, quick={}, {}",
+            cfg.warmup,
+            cfg.iters,
+            quick,
+            engine_label(&cfg)
         ),
     ));
     fig.print();

@@ -9,26 +9,19 @@
 //!
 //! Writes `results/fig7.json` (the figure) and `BENCH_fig7.json` at the
 //! repo root (the perf trajectory: median + p99 per node count with the
-//! run manifest embedded). `--quick` shrinks the sweep for CI smoke runs;
-//! `--flight` adds a phase-breakdown capture.
+//! run manifest embedded). `--quick` shrinks the sweep for CI smoke runs.
 
-use nicbar_bench::{
-    engineprof, fig_args, parallel_sweep_map, trajectory, Figure, Manifest, Series,
-};
-use nicbar_core::{
-    build_elan_nic_cluster, elan_gsync_barrier, elan_hw_barrier, elan_nic_barrier,
-    elan_nic_barrier_flight, Algorithm, BarrierStats, RunCfg,
-};
+use crate::cli::{engine_label, Args};
+use nicbar_bench::{parallel_sweep_map, trajectory, Figure, Manifest, Series};
+use nicbar_core::{elan_gsync_barrier, elan_hw_barrier, elan_nic_barrier, Algorithm, BarrierStats};
 use nicbar_elan::ElanParams;
-use nicbar_sim::EngineSel;
 
 /// Elanlib builds its software trees 4-ary (matching the quaternary fat
 /// tree's natural branching).
 const GSYNC_DEGREE: usize = 4;
 
-fn main() {
-    let args = fig_args();
-    let (quick, flight, cfg) = (args.quick, args.flight, args.cfg);
+pub fn run(args: &Args) {
+    let (quick, cfg) = (args.quick, args.run_cfg());
     let ns: Vec<usize> = if quick {
         vec![2, 4, 8]
     } else {
@@ -57,13 +50,14 @@ fn main() {
     let manifest = Manifest::new(
         cfg.seed,
         format!(
-            "elan3, n={}..={}, gsync_degree={}, warmup={}, iters={}, quick={}",
+            "elan3, n={}..={}, gsync_degree={}, warmup={}, iters={}, quick={}, {}",
             ns.first().copied().unwrap_or(0),
             ns.last().copied().unwrap_or(0),
             GSYNC_DEGREE,
             cfg.warmup,
             cfg.iters,
-            quick
+            quick,
+            engine_label(&cfg)
         ),
     );
 
@@ -110,48 +104,4 @@ fn main() {
         tree8 / nic8
     );
     println!("               hardware barrier = 4.20 µs (sim {hw8:.2})");
-
-    // Opt-in flight recording: a short instrumented window at 8 nodes,
-    // showing the chained-RDMA barrier's phase-by-phase latency.
-    if flight {
-        println!();
-        let cap = elan_nic_barrier_flight(
-            ElanParams::elan3(),
-            8,
-            Algorithm::Dissemination,
-            RunCfg {
-                warmup: 2,
-                iters: 8,
-                ..RunCfg::default()
-            },
-        );
-        nicbar_bench::flight::print_breakdown(&cap);
-    }
-
-    // Opt-in engine self-profile of the 8-node chained-RDMA barrier on the
-    // parallel engine.
-    if args.prof {
-        let shards = cfg.shards.max(2);
-        let prof_cfg = RunCfg {
-            engine: EngineSel::Parallel,
-            shards,
-            ..cfg
-        };
-        let mut cluster = build_elan_nic_cluster(
-            ElanParams::elan3(),
-            8,
-            Algorithm::Dissemination,
-            &prof_cfg,
-            false,
-        );
-        if let Some((prof, wall_s)) =
-            engineprof::profile_run(&mut cluster.engine, prof_cfg.deadline())
-        {
-            println!();
-            print!(
-                "{}",
-                engineprof::report(&prof, "fig7 NIC-Barrier-DS, 8 nodes", wall_s)
-            );
-        }
-    }
 }

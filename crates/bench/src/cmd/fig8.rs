@@ -5,19 +5,19 @@
 //!
 //! Paper anchors: 22.13 µs (Quadrics) and 38.94 µs (Myrinet) at 1024.
 //!
-//! Shares the figure-binary CLI (`fig_args`): `--quick` sub-samples the
-//! sweep for CI smoke runs, `--engine`/`--shards` select the execution
-//! engine (the large points are where the sharded engine pays off).
+//! `--quick` sub-samples the sweep for CI smoke runs, `--engine`/`--shards`
+//! select the execution engine (the large points are where the sharded
+//! engine pays off).
 
-use nicbar_bench::{fig_args, parallel_sweep, Figure, Manifest, Series};
+use crate::cli::{engine_label, Args};
+use nicbar_bench::{parallel_sweep, Figure, Manifest, Series};
 use nicbar_core::{elan_nic_barrier, gm_nic_barrier, Algorithm, RunCfg};
 use nicbar_elan::ElanParams;
 use nicbar_gm::{CollFeatures, GmParams};
 use nicbar_model::{fit, BarrierModel};
 
-fn main() {
-    let args = fig_args();
-    let (quick, base) = (args.quick, args.cfg);
+pub fn run(args: &Args) {
+    let (quick, base) = (args.quick, args.run_cfg());
     let ns: Vec<usize> = if quick {
         vec![2, 4, 16, 64, 256, 1024]
     } else {
@@ -72,7 +72,8 @@ fn main() {
     .with_manifest(Manifest::new(
         base.seed,
         format!(
-            "elan3 + gm lanai-xp dissemination, n=2..=1024, iters scaled down past 64 nodes, quick={quick}"
+            "elan3 + gm lanai-xp dissemination, n=2..=1024, iters scaled down past 64 nodes, quick={quick}, {}",
+            engine_label(&base)
         ),
     ));
     fig.print();

@@ -7,7 +7,7 @@
 //! memory stays O(N), flat enough to host a 65,536-node cluster.
 //!
 //! The dissemination sweep is checked against the paper's analytical form
-//! `T = A + (⌈log₂N⌉−1)·T_trig` (EXPERIMENTS.md refit): the binary exits
+//! `T = A + (⌈log₂N⌉−1)·T_trig` (EXPERIMENTS.md refit): the command exits
 //! nonzero unless each substrate's DS curve fits the staircase at every
 //! measured N. Writes `BENCH_scale.json` at the repo root, with the host
 //! cost of every point in ns per simulated event.
@@ -19,11 +19,12 @@
 //! it catches is per-event work that grows with N (a group scan on every
 //! packet, a queue walk proportional to bucket depth).
 //!
-//! Flags (see [`nicbar_bench::fig_args`]):
+//! Flags:
 //! * `--quick` sub-samples the grid for CI smoke runs while keeping the
 //!   65,536-node gm NIC-DS point.
-//! * `--engine <auto|sequential|parallel>` and `--shards <K>` select the
-//!   execution engine for the main sweeps.
+//! * `--engine <auto|sequential|parallel>`, `--shards <K>` and
+//!   `--partition` select the execution engine and shard map for the main
+//!   sweeps and the engine-comparison series.
 //!
 //! After the sweeps, a dedicated engine-comparison series re-runs the
 //! 4096-node gm NIC-DS point sequentially and with the rank-sharded
@@ -32,7 +33,8 @@
 //! expectation at 8 shards (adaptive lookahead + lock-free mailboxes) is
 //! asserted only when the host actually has ≥8 hardware threads.
 
-use nicbar_bench::{fig_args, json::Writer, trajectory, Manifest};
+use crate::cli::{engine_label, Args};
+use nicbar_bench::{json::Writer, trajectory, Manifest};
 use nicbar_core::{
     build_elan_nic_cluster, build_gm_nic_cluster, elan_nic_stats, gm_nic_stats, Algorithm,
     BarrierStats, RunCfg,
@@ -318,8 +320,7 @@ fn engine_series(quick: bool, base: &RunCfg) -> Vec<EnginePoint> {
     out
 }
 
-fn main() {
-    let args = fig_args();
+pub fn run(args: &Args) {
     // Full grid per (substrate, algo); `--quick` sub-samples but keeps the
     // 65,536-node gm NIC-DS headline point and the 1024-node point the
     // scale gate divides it by. The PE sweeps stop at 4096:
@@ -338,7 +339,7 @@ fn main() {
     };
 
     let t_all = Instant::now();
-    let base = args.cfg;
+    let base = args.run_cfg();
     let sweeps: Vec<(&str, Vec<ScalePoint>)> = vec![
         (
             "gm NIC-DS",
@@ -376,49 +377,18 @@ fn main() {
     check_staircase("gm NIC-DS", &sweeps[0].1);
     check_staircase("elan NIC-DS", &sweeps[2].1);
     println!("staircase check: both DS curves fit the ceil(log2 N) model ✓");
-    let (sel, shards) = base.engine.resolve(base.shards);
-    check_growth(&sweeps[0].1, !sel);
+    check_growth(&sweeps[0].1, !base.engine.resolve(base.shards).0);
 
     let engines = engine_series(args.quick, &base);
-
-    // Opt-in engine self-profile: the engine-comparison point with the
-    // shard profiler armed — the run `engine_prof` studies, inline.
-    if args.prof {
-        let n = if args.quick { 256 } else { 4096 };
-        let shards = base.shards.max(2);
-        let prof_cfg = RunCfg {
-            engine: EngineSel::Parallel,
-            shards,
-            ..cfg_for(n, args.quick, &base)
-        };
-        let mut cluster = build_gm_nic_cluster(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
-            n,
-            Algorithm::Dissemination,
-            &prof_cfg,
-            false,
-        );
-        if let Some((prof, wall_s)) =
-            nicbar_bench::engineprof::profile_run(&mut cluster.engine, prof_cfg.deadline())
-        {
-            println!();
-            print!(
-                "{}",
-                nicbar_bench::engineprof::report(&prof, &format!("gm NIC-DS, {n} nodes"), wall_s)
-            );
-        }
-    }
 
     let manifest = Manifest::new(
         RunCfg::default().seed,
         format!(
-            "gm lanai-xp + elan3, DS to n={}, PE to n={}, iters scaled by n, quick={}, engine={}, shards={}",
+            "gm lanai-xp + elan3, DS to n={}, PE to n={}, iters scaled by n, quick={}, {}",
             sweeps[0].1.last().map_or(0, |p| p.n),
             sweeps[1].1.last().map_or(0, |p| p.n),
             args.quick,
-            if sel { "parallel" } else { "sequential" },
-            shards,
+            engine_label(&base),
         ),
     );
 
@@ -471,8 +441,6 @@ fn main() {
     w.open_object();
     w.field("label");
     w.string("gm NIC-DS n=4096, sequential vs rank-sharded parallel");
-    w.field("host_threads");
-    w.uint(std::thread::available_parallelism().map_or(1, usize::from) as u64);
     w.field("points");
     w.open_array();
     let seq_wall = engines[0].wall_s;
@@ -506,8 +474,6 @@ fn main() {
     manifest.emit(&mut w);
     w.field("label");
     w.string("gm NIC-DS n=4096, wall-clock speedup vs sequential");
-    w.field("host_threads");
-    w.uint(std::thread::available_parallelism().map_or(1, usize::from) as u64);
     w.field("points");
     w.open_array();
     for p in &engines {

@@ -9,7 +9,7 @@ use nicbar_core::{
 };
 use nicbar_gm::{CollFeatures, GmParams};
 
-fn main() {
+pub fn run(_: &crate::cli::Args) {
     let n = 8;
     let cfg = RunCfg {
         warmup: 20,

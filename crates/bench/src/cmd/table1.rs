@@ -18,7 +18,7 @@ use nicbar_core::{
 use nicbar_elan::ElanParams;
 use nicbar_gm::{CollFeatures, GmParams};
 
-fn main() {
+pub fn run(_: &crate::cli::Args) {
     let cfg = figure_cfg();
     let big = RunCfg {
         warmup: 20,

@@ -64,7 +64,7 @@ fn barrier_with_radix(n: usize, radix: usize, cfg: RunCfg) -> (f64, u32) {
     ((last - first).as_us() / cfg.iters as f64, diameter)
 }
 
-fn main() {
+pub fn run(_: &crate::cli::Args) {
     let cfg = RunCfg {
         warmup: 10,
         iters: 100,

@@ -17,7 +17,7 @@ fn stats(samples: &[f64]) -> (f64, f64, f64, f64) {
     (mean, var.sqrt(), min, max)
 }
 
-fn main() {
+pub fn run(_: &crate::cli::Args) {
     let n = 8;
     let seeds: Vec<u64> = (0..16).collect();
 

@@ -6,45 +6,24 @@
 //! wire time, port queuing, NACK/retransmission detours, plus the
 //! per-rank completion slack and the aggregate attribution table.
 //!
-//! Options:
-//!   --nodes N          group size (default 8)
-//!   --substrate S      gm | elan (default gm)
-//!   --drop P           GM fabric drop probability (default 0.0)
-//!   --seed S           master seed (default 42)
-//!   --iters N          recorded barriers (default 4)
-//!   --jsonl PATH       also dump every packet record as JSONL to PATH
-//!                      (the first line is a dump-level header carrying
-//!                      the dropped-record count, so consumers can detect
-//!                      truncated dumps)
-//!   --engine E         sequential | parallel | auto (default auto)
-//!   --shards K         parallel worker shards (default 1)
-//!   --check            gate mode: exit nonzero unless every barrier has a
-//!                      non-empty critical path with >= 95% wall-time
-//!                      coverage and the dump dropped zero records
-//!   --replay PATH      skip the simulation: re-ingest a JSONL netdump
-//!                      (ours, or a `nicbar-verify --trace-out`
-//!                      counterexample) and run the analysis on it; exits 1
-//!                      naming the line of an unparseable record or of a
-//!                      record id that is not strictly increasing
+//! `--jsonl PATH` also dumps every packet record as JSONL; the first line
+//! is a dump-level header carrying the dropped-record count, so consumers
+//! can detect truncated dumps. `--check` is the gate mode: exit nonzero
+//! unless every barrier has a non-empty critical path with >= 95% wall-time
+//! coverage and the dump dropped zero records. `--replay PATH` skips the
+//! simulation: it re-ingests a JSONL netdump (ours, or a `nicbar-verify
+//! --trace-out` counterexample) and runs the analysis on it, exiting 1
+//! naming the line of an unparseable record or of a record id that is not
+//! strictly increasing.
 //!
 //! The header stamps which engine produced the run; everything below it is
 //! byte-identical across engines and shard counts.
 
+use crate::cli::Args;
 use nicbar_bench::{critpath, flight, netdump};
 use nicbar_core::{elan_nic_barrier_flight, gm_nic_barrier_flight, Algorithm, FlightData, RunCfg};
 use nicbar_elan::ElanParams;
 use nicbar_gm::{CollFeatures, GmParams};
-use nicbar_sim::EngineSel;
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: why-slow [--nodes N] [--substrate gm|elan] [--drop P] \
-         [--seed S] [--iters N] [--jsonl PATH] \
-         [--engine sequential|parallel|auto] [--shards K] [--check] \
-         [--replay PATH]"
-    );
-    std::process::exit(2);
-}
 
 /// Re-ingest an exported JSONL netdump and run the causal analysis on it.
 /// Counterexample traces from `nicbar-verify` usually end *at* the violating
@@ -131,77 +110,24 @@ fn replay(path: &str) -> i32 {
     0
 }
 
-fn main() {
-    let mut nodes = 8usize;
-    let mut substrate = "gm".to_string();
-    let mut drop_prob = 0.0f64;
-    let mut seed = 42u64;
-    let mut iters = 4u64;
-    let mut jsonl_path: Option<String> = None;
-    let mut engine = EngineSel::Auto;
-    let mut shards = 1usize;
-    let mut check = false;
-    let mut replay_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--nodes" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => nodes = v,
-                None => usage(),
-            },
-            "--substrate" => match args.next() {
-                Some(v) if v == "gm" || v == "elan" => substrate = v,
-                _ => usage(),
-            },
-            "--drop" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => drop_prob = v,
-                None => usage(),
-            },
-            "--seed" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => seed = v,
-                None => usage(),
-            },
-            "--iters" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => iters = v,
-                None => usage(),
-            },
-            "--jsonl" => match args.next() {
-                Some(v) => jsonl_path = Some(v),
-                None => usage(),
-            },
-            "--engine" => match args.next().as_deref() {
-                Some("sequential") => engine = EngineSel::Sequential,
-                Some("parallel") => engine = EngineSel::Parallel,
-                Some("auto") => engine = EngineSel::Auto,
-                _ => usage(),
-            },
-            "--shards" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1 => shards = v,
-                _ => usage(),
-            },
-            "--check" => check = true,
-            "--replay" => match args.next() {
-                Some(v) => replay_path = Some(v),
-                None => usage(),
-            },
-            _ => usage(),
-        }
+pub fn run(args: &Args) {
+    if let Some(path) = &args.replay {
+        std::process::exit(replay(path));
     }
-    if let Some(path) = replay_path {
-        std::process::exit(replay(&path));
-    }
-    assert!(nodes >= 2, "a barrier needs at least 2 nodes");
+    let nodes = args.nodes.unwrap_or(8);
+    let substrate = args.substrate.unwrap_or("gm");
+    let (drop_prob, seed) = (args.drop, args.seed.unwrap_or(42));
 
     let cfg = RunCfg {
         warmup: 2,
-        iters,
+        iters: args.iters.unwrap_or(4),
         seed,
         drop_prob,
-        engine,
-        shards,
+        engine: args.engine,
+        shards: args.shards.unwrap_or(1),
         ..RunCfg::default()
     };
-    let cap: FlightData = match substrate.as_str() {
+    let cap: FlightData = match substrate {
         "gm" => gm_nic_barrier_flight(
             GmParams::lanai_xp(),
             CollFeatures::paper(),
@@ -226,9 +152,9 @@ fn main() {
     let paths = critpath::analyze(&cap.packets);
     print!("{}", critpath::render(&paths));
 
-    if let Some(path) = jsonl_path {
+    if let Some(path) = &args.jsonl {
         let text = netdump::jsonl_with_header(&cap.packets, cap.packets_dropped);
-        match std::fs::write(&path, text) {
+        match std::fs::write(path, text) {
             Ok(()) => println!(
                 "wrote {} packet records to {path} (header: {} dropped)",
                 cap.packets.len(),
@@ -241,7 +167,7 @@ fn main() {
         }
     }
 
-    if check {
+    if args.check {
         let mut failed = false;
         if paths.is_empty() {
             eprintln!("check FAILED: no completed barrier spans in the dump");

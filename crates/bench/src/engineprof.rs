@@ -14,7 +14,7 @@
 //!   `results/engine_prof.json`.
 //!
 //! [`baseline_one_shard_overhead`] reads the committed
-//! `results/engine_sweep.json` baseline the `engine_prof --check` overhead
+//! `results/engine_sweep.json` baseline the `engine-prof --check` overhead
 //! gate compares against.
 
 use crate::json::{Manifest, Writer};
@@ -420,8 +420,7 @@ pub fn to_json(prof: &EngineProf, label: &str, wall_s: f64, manifest: &Manifest)
 /// Arm the profiler on `engine`, run it to `deadline`, and return the
 /// captured profile plus the measured wall-clock seconds. Returns `None`
 /// when the engine is sequential (the self-profiler only exists on the
-/// parallel executor); callers print a notice in that case. This is the
-/// shared `--prof` path of the figure binaries.
+/// parallel executor).
 pub fn profile_run<M: Send + 'static>(
     engine: &mut nicbar_sim::ExecEngine<M>,
     deadline: nicbar_sim::SimTime,
@@ -435,7 +434,7 @@ pub fn profile_run<M: Send + 'static>(
 
 /// The committed one-shard engine overhead from a saved
 /// `results/engine_sweep.json` (`parallel_one_shard.overhead`), or `None`
-/// if the baseline is missing or unreadable. The `engine_prof --check`
+/// if the baseline is missing or unreadable. The `engine-prof --check`
 /// overhead gate asserts today's profiler-disabled overhead stays within
 /// two percentage points of this.
 pub fn baseline_one_shard_overhead(path: &str) -> Option<f64> {
@@ -469,9 +468,9 @@ pub fn bottleneck_share(prof: &EngineProf, name: &str) -> f64 {
     ns as f64 / lost as f64
 }
 
-/// The dominant bottleneck a committed `engine_prof` capture named, and
+/// The dominant bottleneck a committed `engine-prof` capture named, and
 /// its share of lost time, or `None` when the file is missing or
-/// malformed. `engine_prof --check` compares today's share of that same
+/// malformed. `engine-prof --check` compares today's share of that same
 /// bucket against this.
 pub fn baseline_bottleneck(path: &str) -> Option<(String, f64)> {
     let text = std::fs::read_to_string(path).ok()?;
@@ -518,7 +517,7 @@ fn uints_after(chunk: &str, key: &str) -> Vec<u64> {
     out
 }
 
-/// Parse a [`LoadProfile`] back out of a saved `engine_prof` capture.
+/// Parse a [`LoadProfile`] back out of a saved `engine-prof` capture.
 /// Returns `None` when the file is missing or does not carry a coherent
 /// `shards_detail` table. A missing `traffic_matrix` (pre-cost-model
 /// captures) degrades to an empty matrix, not a failure.
@@ -792,5 +791,15 @@ mod tests {
         let v = baseline_one_shard_overhead(path.to_str().unwrap()).unwrap();
         assert!((v - (-0.0129)).abs() < 1e-12);
         assert!(baseline_one_shard_overhead("/nonexistent/engine_sweep.json").is_none());
+    }
+
+    #[test]
+    fn committed_captures_parse_whatever_their_schema() {
+        let results = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/");
+        let pr7 = format!("{results}engine_prof_pr7.json");
+        assert!(load_profile(&pr7).is_some());
+        assert!(baseline_bottleneck(&pr7).is_some());
+        let sweep = format!("{results}engine_sweep.json");
+        assert!(baseline_one_shard_overhead(&sweep).is_some());
     }
 }

@@ -260,11 +260,6 @@ pub fn breakdown(cap: &FlightData) -> String {
     out
 }
 
-/// Print [`breakdown`] to stdout.
-pub fn print_breakdown(cap: &FlightData) {
-    print!("{}", breakdown(cap));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,9 +5,10 @@
 //! writer is entirely sufficient. Output is valid JSON with two-space
 //! indentation.
 
-/// A run manifest embedded in every `results/*.json` artifact: enough to
-/// reproduce the run (seed, config summary + hash) and to tell which build
-/// produced it (git revision, schema version).
+/// A run manifest embedded in every `results/*.json` artifact and every
+/// `BENCH_*` run: enough to reproduce the run (seed, config summary +
+/// hash) and to tell which build and host produced it (git revision,
+/// hardware threads, schema version).
 #[derive(Clone, Debug)]
 pub struct Manifest {
     /// Artifact schema version; bump when the JSON shape changes.
@@ -20,10 +21,14 @@ pub struct Manifest {
     pub config_hash: u64,
     /// Git revision of the producing tree ("unknown" outside a checkout).
     pub git_rev: String,
+    /// Hardware threads of the producing host (`available_parallelism`).
+    pub host_threads: usize,
 }
 
-/// Current manifest schema version.
-pub const MANIFEST_SCHEMA: u32 = 1;
+/// Current manifest schema version. Schema 2 added `host_threads`; the
+/// readers match fields by name, so schema-1 entries already in a
+/// trajectory stay readable.
+pub const MANIFEST_SCHEMA: u32 = 2;
 
 impl Manifest {
     /// Build a manifest for `seed` and a config summary string.
@@ -35,6 +40,7 @@ impl Manifest {
             config_hash: fnv1a(config.as_bytes()),
             config,
             git_rev: git_rev(),
+            host_threads: std::thread::available_parallelism().map_or(1, usize::from),
         }
     }
 
@@ -52,6 +58,8 @@ impl Manifest {
         w.string(&format!("{:016x}", self.config_hash));
         w.field("git_rev");
         w.string(&self.git_rev);
+        w.field("host_threads");
+        w.uint(self.host_threads as u64);
         w.close_object();
     }
 }

@@ -1,10 +1,14 @@
 //! # nicbar-bench — the harness that regenerates the paper's evaluation
 //!
-//! One binary per figure (`fig5`, `fig6`, `fig7`, `fig8`), the headline
-//! table (`table1`), the feature ablation (`ablation`), and the engine
-//! throughput harness (`engine_sweep`). Each binary prints the paper's
-//! series side by side with the simulated ones and writes machine-readable
-//! JSON under `results/`.
+//! The library half holds what the commands share: figure and series
+//! records, the parallel point sweep, run manifests, `BENCH_*` trajectories,
+//! the analysis modules (`critpath`, `engineprof`, `flight`, `netdump`),
+//! and the scheduler micro-workloads (`micro`, `seed_engine`). The `nicbar-bench` executable (`src/main.rs`) puts every
+//! evaluation command — the figures (`fig5` .. `fig8`, `fig-scale`), the
+//! headline table (`table1`), the analyses (`why-slow`, `contend`,
+//! `engine-prof`, ...) — behind one front end; `nicbar-bench help` lists
+//! them. Each figure command prints the paper's series side by side with
+//! the simulated ones and writes machine-readable JSON under `results/`.
 //!
 //! Criterion benches (`benches/figures.rs`, `benches/shm.rs`,
 //! `benches/engine.rs`) exercise the same code paths under `cargo bench`.
@@ -18,6 +22,7 @@ pub mod critpath;
 pub mod engineprof;
 pub mod flight;
 pub mod json;
+pub mod micro;
 pub mod netdump;
 pub mod seed_engine;
 pub mod trajectory;
@@ -202,7 +207,7 @@ where
     out
 }
 
-/// The benchmark iteration counts used by the figure binaries. The paper
+/// The benchmark iteration counts used by the figure commands. The paper
 /// uses 100 warm-up + 10 000 measured iterations on hardware; the simulated
 /// fabric is deterministic, so 100 + 2 000 reaches the identical steady
 /// state at a fraction of the wall time (changing this only narrows the
@@ -224,83 +229,12 @@ pub fn criterion_cfg() -> nicbar_core::RunCfg {
     }
 }
 
-/// CI-smoke iteration counts used by the figure binaries under `--quick`.
+/// CI-smoke iteration counts used by the figure commands under `--quick`.
 pub fn quick_cfg() -> nicbar_core::RunCfg {
     nicbar_core::RunCfg {
         warmup: 10,
         iters: 100,
         ..nicbar_core::RunCfg::default()
-    }
-}
-
-/// The command-line options every figure binary understands, parsed once.
-#[derive(Clone, Debug)]
-pub struct FigArgs {
-    /// `--quick`: CI smoke mode — shrink the sweep and iteration counts.
-    pub quick: bool,
-    /// `--flight`: opt into a flight-recorded capture after the sweep.
-    pub flight: bool,
-    /// `--prof`: arm the engine self-profiler and print an `engine-prof`
-    /// report for one parallel run after the sweep.
-    pub prof: bool,
-    /// [`quick_cfg`] under `--quick`, [`figure_cfg`] otherwise, with
-    /// `--engine`/`--shards`/`--partition` already threaded in.
-    pub cfg: nicbar_core::RunCfg,
-}
-
-/// Parse a `--partition` flag value: `contiguous` (the default even split)
-/// or `profile=<path>` (profile-guided, reading a prior
-/// `results/engine_prof.json`-shaped capture).
-pub fn parse_partition(value: &str) -> nicbar_sim::PartitionSel {
-    match value {
-        "contiguous" => nicbar_sim::PartitionSel::Contiguous,
-        other => match other.strip_prefix("profile=") {
-            Some(path) => engineprof::partition_from_profile(path).unwrap_or_else(|| {
-                panic!("--partition profile={path}: not a readable engine_prof capture")
-            }),
-            None => panic!("--partition must be contiguous|profile=<path>, got {other}"),
-        },
-    }
-}
-
-/// Parse the figure binaries' shared flags from `std::env::args`:
-/// `--quick`, `--flight`, `--prof`, `--engine <auto|sequential|parallel>`,
-/// `--shards <K>` and `--partition <contiguous|profile=PATH>`.
-pub fn fig_args() -> FigArgs {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let flight = args.iter().any(|a| a == "--flight");
-    let prof = args.iter().any(|a| a == "--prof");
-    let mut cfg = if quick { quick_cfg() } else { figure_cfg() };
-    let value_of = |flag: &str| -> Option<&str> {
-        args.iter().position(|a| a == flag).map(|i| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-                .as_str()
-        })
-    };
-    if let Some(engine) = value_of("--engine") {
-        cfg.engine = match engine {
-            "auto" => nicbar_sim::EngineSel::Auto,
-            "sequential" => nicbar_sim::EngineSel::Sequential,
-            "parallel" => nicbar_sim::EngineSel::Parallel,
-            other => panic!("--engine must be auto|sequential|parallel, got {other}"),
-        };
-    }
-    if let Some(shards) = value_of("--shards") {
-        cfg.shards = shards
-            .parse()
-            .unwrap_or_else(|_| panic!("--shards must be a positive integer, got {shards}"));
-        assert!(cfg.shards >= 1, "--shards must be >= 1");
-    }
-    if let Some(partition) = value_of("--partition") {
-        cfg.partition = parse_partition(partition);
-    }
-    FigArgs {
-        quick,
-        flight,
-        prof,
-        cfg,
     }
 }
 

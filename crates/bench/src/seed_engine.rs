@@ -18,7 +18,7 @@
 //! * `peek` + `pop` touching the heap root twice per loop iteration.
 //!
 //! Do not use this for simulations — it exists so `benches/engine.rs` and
-//! `engine_sweep` can measure the seed baseline on today's toolchain.
+//! `engine-sweep` can measure the seed baseline on today's toolchain.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;

@@ -290,4 +290,28 @@ mod tests {
 
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    #[test]
+    fn schema_1_runs_survive_a_schema_2_append() {
+        // A run as schema 1 wrote it: no `host_threads` in the manifest.
+        let v1 = "{\n  \"manifest\": {\n    \"schema\": 1,\n    \"seed\": 42,\n    \
+                  \"config\": \"v1\",\n    \"config_hash\": \"065d93211e6f9519\",\n    \
+                  \"git_rev\": \"8c0718440612\"\n  },\n  \"series\": []\n}";
+        let dir = std::env::temp_dir().join(format!("nicbar_traj_v2_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_t.json");
+        std::fs::remove_file(&path).ok();
+        append_run_at(&path, "t", v1).unwrap();
+        let m = Manifest::new(3, "schema 2 run");
+        let body = run_json(&[("X", vec![point(2, &stats(&[1.0]))])], &m);
+        append_run_at(&path, "t", &body).unwrap();
+
+        let runs = extract_runs(&std::fs::read_to_string(&path).unwrap());
+        assert_eq!(runs.len(), 2);
+        let norm = |r: &str| r.split_whitespace().collect::<String>();
+        assert_eq!(norm(&runs[0]), norm(v1), "the schema-1 run changed");
+        assert!(runs[1].contains("\"schema\": 2"));
+        assert_eq!(runs[1].matches("\"host_threads\"").count(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -1,6 +1,7 @@
-//! `why-slow --replay` validates its input: a netdump whose record ids are
-//! not strictly increasing would silently break the analyzer's id binary
-//! search, so the replay must refuse it, naming the offending line.
+//! `nicbar-bench why-slow --replay` validates its input: a netdump whose
+//! record ids are not strictly increasing would silently break the
+//! analyzer's id binary search, so the replay must refuse it, naming the
+//! offending line.
 
 use nicbar_bench::netdump;
 use nicbar_core::{gm_nic_barrier_flight, Algorithm, RunCfg};
@@ -11,11 +12,11 @@ use std::process::{Command, Output};
 fn replay(name: &str, text: &str) -> Output {
     let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
     std::fs::write(&path, text).expect("write replay input");
-    let out = Command::new(env!("CARGO_BIN_EXE_why-slow"))
-        .arg("--replay")
+    let out = Command::new(env!("CARGO_BIN_EXE_nicbar-bench"))
+        .args(["why-slow", "--replay"])
         .arg(&path)
         .output()
-        .expect("run why-slow");
+        .expect("run nicbar-bench why-slow");
     let _ = std::fs::remove_file(&path);
     out
 }

@@ -61,7 +61,7 @@ struct Assembly {
 /// Point-to-point protocol state: per-peer queues and sequence tracking,
 /// O(n) per NIC and therefore O(n²) per cluster. Allocated lazily on the
 /// first p2p stimulus, so a collective-only simulation (the paper's barrier,
-/// and the 4096-node `fig_scale` sweep) keeps every NIC at O(1) memory.
+/// and the 4096-node `fig-scale` sweep) keeps every NIC at O(1) memory.
 struct P2pState {
     // --- send side ---
     send_queues: Vec<VecDeque<SendToken>>,

@@ -11,7 +11,7 @@
 //! at. On a single hardware thread the contrast collapses into a
 //! context-switch benchmark; the interesting numbers come from ≥8-thread
 //! hosts, where the mutex variant serialises on the lock while the rings
-//! stay wait-free. `engine_sweep --quick` prints the same comparison as a
+//! stay wait-free. `engine-sweep --quick` prints the same comparison as a
 //! one-shot informational report.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

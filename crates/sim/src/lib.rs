@@ -37,7 +37,7 @@
 //!   the identity argument.
 //! * [`EngineProf`] — the engine's *self*-observability: the per-shard
 //!   window profiler (typed busy/idle/drain totals plus a window-utilization
-//!   histogram) that the `engine_prof` bench binary turns into timelines and
+//!   histogram) that `nicbar-bench engine-prof` turns into timelines and
 //!   bottleneck attributions. Zero-cost unless armed with
 //!   [`ParallelEngine::enable_prof`]. See [`telemetry`].
 //!

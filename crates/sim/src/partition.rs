@@ -29,7 +29,7 @@
 //!   (see `crate::parallel` for the derivation).
 //! * [`PartitionSel`] / [`ShardMap::balanced_by_weight`] — profile-guided
 //!   partitioning: per-node busy-time weights (measured by a prior
-//!   `engine_prof` run) are split into contiguous ranges minimizing the
+//!   `engine-prof` run) are split into contiguous ranges minimizing the
 //!   bottleneck shard load, then cut positions slide (within the bottleneck
 //!   bound) to the cheapest measured cross-traffic boundaries.
 
@@ -258,7 +258,7 @@ impl ShardMap {
 /// How a cluster builder should map components to shards.
 ///
 /// Carried by run configs (`RunCfg` in the driver layer) and threaded into
-/// the builders; `--partition profile=<path>` on the fig binaries parses an
+/// the builders; `--partition profile=<path>` on the bench commands parses an
 /// `engine_prof.json` into the [`PartitionSel::Weighted`] form.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub enum PartitionSel {

@@ -20,8 +20,7 @@
 //!   every retained wait's covering holds were emitted earlier and are
 //!   retained too;
 //! * the trace ring keeps its *newest* `capacity` records, evicting the
-//!   oldest, because the `flight` and `timeline` exporters read the tail of
-//!   long runs.
+//!   oldest, because the `flight` exporter reads the tail of long runs.
 //!
 //! A disabled store records nothing and allocates nothing; in particular a
 //! disabled netdump answers [`CauseId::NONE`] and consumes no id.

@@ -23,7 +23,7 @@
 //! [`crate::Records`], off by default; [`crate::Records`] routes each span
 //! event to both, and the engine guards emission behind a single
 //! pre-computed branch per delivery so the disabled path costs nothing
-//! measurable (checked by `engine_sweep`).
+//! measurable (checked by `engine-sweep`).
 
 use crate::hist::Histogram;
 use crate::record::RecordLog;
@@ -249,8 +249,8 @@ impl SpanEvent {
         }
     }
 
-    /// Human-readable detail string, shared by `timeline` and `flight` so
-    /// the decoding lives next to the event definition instead of being
+    /// Human-readable detail string, used by the `flight` exporter, so the
+    /// decoding lives next to the event definition instead of being
     /// duplicated in every exporter.
     pub fn describe(&self) -> String {
         match *self {

@@ -1,5 +1,5 @@
-//! Engine self-telemetry: the shard-level self-profiler behind the parallel
-//! engine's `--prof` mode.
+//! Engine self-telemetry: the shard-level self-profiler behind
+//! `nicbar-bench engine-prof`.
 //!
 //! PRs 2–3 built observability for the *simulated* protocol; this module
 //! watches the watcher. The rank-sharded parallel engine
@@ -30,7 +30,7 @@
 //! worker loop is window-granular (windows are coarse: thousands of events
 //! each), guarded by one `Option` branch, and allocation-free in the
 //! disabled path — the steady-state allocation gate covers the parallel
-//! engine with the profiler off, and `engine_prof --check` bounds the
+//! engine with the profiler off, and `engine-prof --check` bounds the
 //! disabled-path throughput overhead at 2%.
 //!
 //! ## Wall clocks

@@ -47,8 +47,8 @@
 //! Violations come with the BFS-minimal transition sequence from the
 //! initial state. [`trace_records`] re-executes that sequence and emits it
 //! as causally-linked netdump records (the same JSONL schema the flight
-//! recorder dumps), so `why-slow --replay trace.jsonl` renders the failing
-//! interleaving with the ordinary observability tooling.
+//! recorder dumps), so `nicbar-bench why-slow --replay trace.jsonl` renders
+//! the failing interleaving with the ordinary observability tooling.
 
 #![warn(missing_docs)]
 

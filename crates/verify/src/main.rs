@@ -18,7 +18,7 @@
 //!   --inject FAULT          inject a protocol bug (skip-payload-record)
 //!   --expect-violation      exit 0 only if a violation IS found
 //!   --trace-out PATH        write the counterexample as netdump JSONL
-//!                           (replay with: why-slow --replay PATH)
+//!                           (replay with: nicbar-bench why-slow --replay PATH)
 //!   --format human|json     report format (default human)
 
 use nicbar_bench::netdump;
@@ -105,7 +105,8 @@ fn render_violation(cfg: &Config, r: &Report, trace_out: Option<&str>) {
     if let Some(path) = trace_out {
         match std::fs::write(path, netdump::jsonl(&records)) {
             Ok(()) => eprintln!(
-                "wrote {} netdump record(s) to {path} (replay: why-slow --replay {path})",
+                "wrote {} netdump record(s) to {path} \
+                 (replay: nicbar-bench why-slow --replay {path})",
                 records.len()
             ),
             Err(e) => {

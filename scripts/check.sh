@@ -8,6 +8,15 @@
 # summary names the culprit instead of leaving it to guesswork. A gate the
 # host cannot run goes through `skip_gate` instead, so the summary lists it
 # as SKIPPED with its reason rather than leaving it out.
+#
+# Bench commands all run through the one front end, `cargo run --release
+# -q -p nicbar-bench -- <command> [flags]`. CI runs why-slow (smoke and
+# counterexample replay), engine-sweep --quick, engine-prof, fig-scale
+# --quick, fig5/fig7 --quick and contend --quick. The other commands
+# (fig6, fig8, table1, ablation, algo-compare, variance,
+# topology-sensitivity, interference, flight) are only built, and their
+# flag parsing is tested by crates/bench/tests/cli.rs under the `test`
+# gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -83,7 +92,7 @@ verify_counterexample_gate() {
         rm -rf "$tmp"
         return 1
     fi
-    if ! cargo run --release -q -p nicbar-bench --bin why-slow -- \
+    if ! cargo run --release -q -p nicbar-bench -- why-slow \
         --replay "$tmp/cex.jsonl" > /dev/null; then
         echo "check.sh: counterexample trace failed to replay through why-slow" >&2
         rm -rf "$tmp"
@@ -96,26 +105,26 @@ echo "check.sh: protocol model checking OK"
 
 # Zero-overhead gate: with the flight recorder and trace ring disabled,
 # engine throughput must stay within 5% of the saved baseline. Skipped if
-# the baseline has never been generated (run the full engine_sweep once).
+# the baseline has never been generated (run the full engine-sweep once).
 # The quick gate also asserts the parallel engine at one shard stays
 # within 5% of the sequential engine on the fig5 figure point.
 if [ -f results/engine_sweep.json ]; then
-    gate "engine-sweep-quick" cargo run --release -p nicbar-bench --bin engine_sweep -- --quick
+    gate "engine-sweep-quick" cargo run --release -q -p nicbar-bench -- engine-sweep --quick
 else
     skip_gate "engine-sweep-quick" "no results/engine_sweep.json baseline"
 fi
 
 # Engine self-profiler smoke: a profiled 2-shard 64-node run must account
 # for >= 95% of worker wall time and name a dominant bottleneck
-# (engine_prof --check exits nonzero otherwise). On hosts with >= 8
+# (engine-prof --check exits nonzero otherwise). On hosts with >= 8
 # hardware threads the full gate also profiles 8 shards x 4096 nodes and
 # asserts the profiler-DISABLED path stays within 2 percentage points of
 # the committed one-shard overhead baseline in results/engine_sweep.json.
 engine_prof_quick_gate() {
-    cargo run --release -q -p nicbar-bench --bin engine_prof -- --quick --check > /dev/null
+    cargo run --release -q -p nicbar-bench -- engine-prof --quick --check > /dev/null
 }
 gate "engine-prof-quick" engine_prof_quick_gate
-echo "check.sh: engine_prof smoke OK"
+echo "check.sh: engine-prof smoke OK"
 host_threads=$(nproc 2>/dev/null || echo 1)
 if [ "$host_threads" -lt 8 ]; then
     skip_gate "engine-prof-full" "$host_threads hardware threads, needs 8"
@@ -123,10 +132,10 @@ elif [ ! -f results/engine_sweep.json ]; then
     skip_gate "engine-prof-full" "no results/engine_sweep.json baseline"
 else
     engine_prof_full_gate() {
-        cargo run --release -q -p nicbar-bench --bin engine_prof -- --check > /dev/null
+        cargo run --release -q -p nicbar-bench -- engine-prof --check > /dev/null
     }
     gate "engine-prof-full" engine_prof_full_gate
-    echo "check.sh: engine_prof full gate OK"
+    echo "check.sh: engine-prof full gate OK"
 fi
 
 # Parallel-engine parity smoke: the rank-sharded engine must reproduce the
@@ -143,7 +152,7 @@ echo "check.sh: parallel engine parity OK"
 # of each span's wall time to its edges, and drop zero netdump records
 # (--check exits nonzero otherwise).
 why_slow_gate() {
-    cargo run --release -q -p nicbar-bench --bin why-slow -- \
+    cargo run --release -q -p nicbar-bench -- why-slow \
         --nodes 8 --drop 0.02 --seed 7 --check > /dev/null
 }
 gate "why-slow-smoke" why_slow_gate
@@ -161,23 +170,23 @@ echo "check.sh: allocation gate OK"
 # ceil(log2 N) staircase, gm NIC-DS cost per event at 65,536 nodes must
 # stay within 5x of its cost at 1024 nodes (the host-independent scale
 # gate), and the engine-comparison series must reproduce the sequential
-# latency bit-for-bit under sharding — fig_scale exits nonzero otherwise.
+# latency bit-for-bit under sharding — fig-scale exits nonzero otherwise.
 # Every run also appends the speedup series to BENCH_par.json; the before
 # count feeds the trajectory gate below.
 #
 # On hosts with >= 8 hardware threads the same run also asserts the 8-shard
 # parallel engine beats sequential by >= 4.5x on the 4096-node gm point
 # (raised from 3x when adaptive lookahead + SPSC mailboxes landed). That
-# speedup gate gets its own summary line: SKIPPED when fig_scale reports
+# speedup gate gets its own summary line: SKIPPED when fig-scale reports
 # it skipped the assertion, otherwise marked as asserted by the smoke run.
 count_runs() { grep -c '"manifest"' "$1" 2>/dev/null || true; }
 runs_before_par=$(count_runs BENCH_par.json); runs_before_par=${runs_before_par:-0}
 fig_scale_log=$(mktemp)
 fig_scale_gate() {
-    cargo run --release -q -p nicbar-bench --bin fig_scale -- --quick > "$fig_scale_log"
+    cargo run --release -q -p nicbar-bench -- fig-scale --quick > "$fig_scale_log"
 }
 gate "fig-scale-smoke" fig_scale_gate
-echo "check.sh: fig_scale smoke OK"
+echo "check.sh: fig-scale smoke OK"
 if grep -q "speedup gate skipped" "$fig_scale_log"; then
     skip_gate "fig-scale-speedup" "<8 hardware threads"
 else
@@ -188,11 +197,11 @@ fi
 rm -f "$fig_scale_log"
 
 # Profile-guided partition parity smoke: the same quick sweep driven by
-# the committed PR-7 profiler capture must pass fig_scale's internal
+# the committed PR-7 profiler capture must pass fig-scale's internal
 # sequential-vs-parallel identity assertions with the profile-derived
 # shard map — the partitioner may only change wall-clock, never results.
 fig_scale_profile_gate() {
-    cargo run --release -q -p nicbar-bench --bin fig_scale -- --quick \
+    cargo run --release -q -p nicbar-bench -- fig-scale --quick \
         --partition profile=results/engine_prof_pr7.json > /dev/null
 }
 gate "fig-scale-profile-partition" fig_scale_profile_gate
@@ -201,11 +210,11 @@ echo "check.sh: profile-guided partition parity OK"
 # Tracked perf-trajectory artifacts: quick fig5/fig7 sweeps append a run
 # to BENCH_fig5.json and BENCH_fig7.json at the repo root (median + p99
 # per node count, one manifest-stamped entry per run). BENCH_scale.json
-# gained its run from the fig_scale smoke above. The trajectory is
+# gained its run from the fig-scale smoke above. The trajectory is
 # append-only: the number of manifest-stamped runs in each artifact must
 # never decrease across a regeneration (the writer caps the history at
 # MAX_RUNS, so "not fewer than before, and at least one" is the invariant).
-# BENCH_par.json (written by both fig_scale runs above) is held to the
+# BENCH_par.json (written by both fig-scale runs above) is held to the
 # same monotonicity bar against its pre-smoke count. (grep -c prints 0
 # *and* exits 1 on zero matches; missing file prints nothing — both
 # normalized to a plain number by count_runs above.)
@@ -213,8 +222,8 @@ bench_trajectory_gate() {
     local runs_before_fig5 runs_before_fig7 runs_after_fig5 runs_after_fig7
     runs_before_fig5=$(count_runs BENCH_fig5.json); runs_before_fig5=${runs_before_fig5:-0}
     runs_before_fig7=$(count_runs BENCH_fig7.json); runs_before_fig7=${runs_before_fig7:-0}
-    cargo run --release -q -p nicbar-bench --bin fig5 -- --quick > /dev/null
-    cargo run --release -q -p nicbar-bench --bin fig7 -- --quick > /dev/null
+    cargo run --release -q -p nicbar-bench -- fig5 --quick > /dev/null
+    cargo run --release -q -p nicbar-bench -- fig7 --quick > /dev/null
     for f in BENCH_fig5.json BENCH_fig7.json BENCH_scale.json BENCH_par.json; do
         [ -s "$f" ] || { echo "check.sh: missing $f" >&2; return 1; }
         grep -q '"manifest"' "$f" || { echo "check.sh: $f lacks a manifest" >&2; return 1; }
@@ -247,7 +256,7 @@ gate "bench-trajectory" bench_trajectory_gate
 contend_gate() {
     local runs_before runs_after
     runs_before=$(count_runs BENCH_contend.json); runs_before=${runs_before:-0}
-    cargo run --release -q -p nicbar-bench --bin contend -- --quick --check > /dev/null
+    cargo run --release -q -p nicbar-bench -- contend --quick --check > /dev/null
     runs_after=$(count_runs BENCH_contend.json); runs_after=${runs_after:-0}
     if [ "$runs_after" -lt "$runs_before" ] || [ "$runs_after" -lt 1 ]; then
         echo "check.sh: BENCH_contend.json trajectory shrank ($runs_before -> $runs_after)" >&2

@@ -332,7 +332,7 @@ fn weighted_partition_matches_sequential_byte_for_byte() {
     }
 }
 
-/// The full profile-guided loop: a real `engine_prof` capture (the
+/// The full profile-guided loop: a real `engine-prof` capture (the
 /// committed PR-7 baseline) feeds `partition_from_profile`, and the
 /// resulting partition must preserve byte-identity. The profile was taken
 /// at a different node count — `balanced_by_weight` resamples it — which
