@@ -7,11 +7,18 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nicbar_bench::criterion_cfg;
 use nicbar_core::{
-    elan_gsync_barrier, elan_hw_barrier, elan_nic_barrier, gm_host_barrier, gm_nic_barrier,
-    Algorithm,
+    elan_gsync_barrier, elan_nic_barrier, gm_host_barrier, gm_nic_barrier, Algorithm, Barrier,
+    RunCfg, Scenario, ThreadOp,
 };
 use nicbar_elan::ElanParams;
 use nicbar_gm::{CollFeatures, GmParams};
+
+/// Mean latency of a Quadrics barrier kind with no algorithm of its own.
+fn elan_mean_us(barrier: Barrier, n: usize, cfg: RunCfg) -> f64 {
+    Scenario::new(barrier, n, Algorithm::Dissemination, cfg)
+        .run()
+        .mean_us
+}
 
 fn fig5(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig5_lanai91");
@@ -94,7 +101,12 @@ fn fig7(c: &mut Criterion) {
             b.iter(|| elan_gsync_barrier(ElanParams::elan3(), n, 4, criterion_cfg()).mean_us)
         });
         g.bench_with_input(BenchmarkId::new("hgsync", n), &n, |b, &n| {
-            b.iter(|| elan_hw_barrier(ElanParams::elan3(), n, criterion_cfg()).mean_us)
+            b.iter(|| {
+                let hw = Barrier::ElanHw {
+                    params: ElanParams::elan3(),
+                };
+                elan_mean_us(hw, n, criterion_cfg())
+            })
         });
     }
     g.finish();
@@ -174,7 +186,14 @@ fn thread_vs_chain(c: &mut Criterion) {
         })
     });
     g.bench_function("thread_barrier_8", |b| {
-        b.iter(|| nicbar_core::elan_thread_barrier(ElanParams::elan3(), 8, criterion_cfg()).mean_us)
+        b.iter(|| {
+            let thread = Barrier::ElanThread {
+                params: ElanParams::elan3(),
+                op: ThreadOp::Barrier,
+                contribution: |_, _| 0,
+            };
+            elan_mean_us(thread, 8, criterion_cfg())
+        })
     });
     g.finish();
 }

@@ -287,6 +287,9 @@ fn parse(cmd: &Command, argv: &[String]) -> Result<Args, String> {
     if args.baseline.is_some() && !args.quick {
         return Err("--baseline needs --quick".into());
     }
+    if args.substrate == Some("elan") && seen.contains(&Flag::Drop) {
+        return Err("--drop needs --substrate gm: the elan fabric has no loss model".into());
+    }
     Ok(args)
 }
 

@@ -13,7 +13,9 @@
 
 use crate::cli::{engine_label, Args};
 use nicbar_bench::{parallel_sweep_map, trajectory, Figure, Manifest, Series};
-use nicbar_core::{elan_gsync_barrier, elan_hw_barrier, elan_nic_barrier, Algorithm, BarrierStats};
+use nicbar_core::{
+    elan_gsync_barrier, elan_nic_barrier, Algorithm, Barrier, BarrierStats, Scenario,
+};
 use nicbar_elan::ElanParams;
 
 /// Elanlib builds its software trees 4-ary (matching the quaternary fat
@@ -37,7 +39,10 @@ pub fn run(args: &Args) {
         elan_gsync_barrier(ElanParams::elan3(), n, GSYNC_DEGREE, cfg.clone())
     });
     let hw = parallel_sweep_map(&ns, |n| {
-        elan_hw_barrier(ElanParams::elan3(), n, cfg.clone())
+        let hw = Barrier::ElanHw {
+            params: ElanParams::elan3(),
+        };
+        Scenario::new(hw, n, Algorithm::Dissemination, cfg.clone()).run()
     });
 
     let sweeps: Vec<(&str, Vec<(usize, BarrierStats)>)> = vec![

@@ -35,14 +35,11 @@
 
 use crate::cli::{engine_label, Args};
 use nicbar_bench::{json::Writer, trajectory, Manifest};
-use nicbar_core::{
-    build_elan_nic_cluster, build_gm_nic_cluster, elan_nic_stats, gm_nic_stats, Algorithm,
-    BarrierStats, RunCfg,
-};
+use nicbar_core::{Algorithm, Barrier, BarrierStats, RunCfg, Scenario};
 use nicbar_elan::ElanParams;
 use nicbar_gm::{CollFeatures, GmParams};
 use nicbar_model::fit;
-use nicbar_sim::{EngineSel, RunOutcome};
+use nicbar_sim::EngineSel;
 use std::time::Instant;
 
 /// Upper bound on gm NIC-DS ns/event at 65,536 nodes over its value at
@@ -111,43 +108,24 @@ fn cfg_for(n: usize, quick: bool, base: &RunCfg) -> RunCfg {
 
 /// Run one (substrate, algo, n) point and measure it.
 fn run_point(substrate: &str, algo: Algorithm, n: usize, cfg: &RunCfg) -> ScalePoint {
-    let (events, run_s, stats) = match substrate {
-        "gm" => {
-            let mut cluster = build_gm_nic_cluster(
-                GmParams::lanai_xp(),
-                CollFeatures::paper(),
-                n,
-                algo,
-                cfg,
-                false,
-            );
-            let t = Instant::now();
-            let outcome = cluster.run_until(cfg.deadline());
-            let run_s = t.elapsed().as_secs_f64();
-            assert_eq!(outcome, RunOutcome::Idle, "gm n={n} did not drain");
-            (
-                cluster.engine.events_processed(),
-                run_s,
-                gm_nic_stats(&cluster, n, cfg),
-            )
-        }
-        _ => {
-            let mut cluster = build_elan_nic_cluster(ElanParams::elan3(), n, algo, cfg, false);
-            let t = Instant::now();
-            let outcome = cluster.run_until(cfg.deadline());
-            let run_s = t.elapsed().as_secs_f64();
-            assert_eq!(outcome, RunOutcome::Idle, "elan n={n} did not drain");
-            (
-                cluster.engine.events_processed(),
-                run_s,
-                elan_nic_stats(&cluster, n, cfg),
-            )
-        }
+    let barrier = match substrate {
+        "gm" => Barrier::GmNic {
+            params: GmParams::lanai_xp(),
+            features: CollFeatures::paper(),
+        },
+        _ => Barrier::ElanNic {
+            params: ElanParams::elan3(),
+        },
     };
+    let s = Scenario::new(barrier, n, algo, cfg.clone());
+    let mut cluster = s.build();
+    let t = Instant::now();
+    s.drain(&mut cluster);
+    let run_s = t.elapsed().as_secs_f64();
     ScalePoint {
         n,
-        stats,
-        events,
+        stats: s.harvest(&cluster),
+        events: cluster.events_processed(),
         run_s,
         peak_rss_kb: peak_rss_kb(),
     }

@@ -12,7 +12,7 @@
 
 use crate::cli::Args;
 use nicbar_bench::flight::{breakdown, chrome_trace};
-use nicbar_core::{elan_nic_barrier_flight, gm_nic_barrier_flight, Algorithm, FlightData, RunCfg};
+use nicbar_core::{Algorithm, Barrier, FlightData, RunCfg, Scenario};
 use nicbar_elan::ElanParams;
 use nicbar_gm::{CollFeatures, GmParams};
 
@@ -27,24 +27,22 @@ pub fn run(args: &Args) {
         ..RunCfg::default()
     };
 
-    let mut captures: Vec<FlightData> = Vec::new();
+    let mut barriers = Vec::new();
     if !args.gm_only {
-        captures.push(elan_nic_barrier_flight(
-            ElanParams::elan3(),
-            nodes,
-            Algorithm::Dissemination,
-            cfg.clone(),
-        ));
+        barriers.push(Barrier::ElanNic {
+            params: ElanParams::elan3(),
+        });
     }
     if !args.elan_only {
-        captures.push(gm_nic_barrier_flight(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
-            nodes,
-            Algorithm::Dissemination,
-            cfg,
-        ));
+        barriers.push(Barrier::GmNic {
+            params: GmParams::lanai_xp(),
+            features: CollFeatures::paper(),
+        });
     }
+    let captures: Vec<FlightData> = barriers
+        .into_iter()
+        .map(|b| Scenario::new(b, nodes, Algorithm::Dissemination, cfg.clone()).flight())
+        .collect();
 
     for cap in &captures {
         print!("{}", breakdown(cap));

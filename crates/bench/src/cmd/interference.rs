@@ -4,9 +4,7 @@
 //! the host-based barrier on the LANai-XP cluster.
 
 use nicbar_bench::{Figure, Manifest, Series};
-use nicbar_core::{
-    gm_host_barrier_under_traffic, gm_nic_barrier_under_traffic, Algorithm, RunCfg, TrafficCfg,
-};
+use nicbar_core::{Algorithm, Barrier, Load, RunCfg, Scenario, TrafficCfg};
 use nicbar_gm::{CollFeatures, GmParams};
 
 pub fn run(_: &crate::cli::Args) {
@@ -19,73 +17,29 @@ pub fn run(_: &crate::cli::Args) {
     let loads: Vec<usize> = vec![0, 1, 2, 4, 8];
 
     let run = |mode: &'static str, outstanding: usize| -> f64 {
-        let traffic = TrafficCfg {
-            msg_bytes: 4096,
-            outstanding: outstanding as u32,
+        let params = GmParams::lanai_xp();
+        let barrier = match mode {
+            "paper" => Barrier::GmNic {
+                params,
+                features: CollFeatures::paper(),
+            },
+            "direct" => Barrier::GmNic {
+                params,
+                features: CollFeatures::direct(),
+            },
+            _ => Barrier::GmHost { params },
         };
-        match (mode, outstanding) {
-            ("paper", 0) => {
-                nicbar_core::gm_nic_barrier(
-                    GmParams::lanai_xp(),
-                    CollFeatures::paper(),
-                    n,
-                    Algorithm::Dissemination,
-                    cfg.clone(),
-                )
-                .mean_us
-            }
-            ("direct", 0) => {
-                nicbar_core::gm_nic_barrier(
-                    GmParams::lanai_xp(),
-                    CollFeatures::direct(),
-                    n,
-                    Algorithm::Dissemination,
-                    cfg.clone(),
-                )
-                .mean_us
-            }
-            ("host", 0) => {
-                nicbar_core::gm_host_barrier(
-                    GmParams::lanai_xp(),
-                    n,
-                    Algorithm::Dissemination,
-                    cfg.clone(),
-                )
-                .mean_us
-            }
-            ("paper", _) => {
-                gm_nic_barrier_under_traffic(
-                    GmParams::lanai_xp(),
-                    CollFeatures::paper(),
-                    n,
-                    Algorithm::Dissemination,
-                    cfg.clone(),
-                    traffic,
-                )
-                .mean_us
-            }
-            ("direct", _) => {
-                gm_nic_barrier_under_traffic(
-                    GmParams::lanai_xp(),
-                    CollFeatures::direct(),
-                    n,
-                    Algorithm::Dissemination,
-                    cfg.clone(),
-                    traffic,
-                )
-                .mean_us
-            }
-            _ => {
-                gm_host_barrier_under_traffic(
-                    GmParams::lanai_xp(),
-                    n,
-                    Algorithm::Dissemination,
-                    cfg.clone(),
-                    traffic,
-                )
-                .mean_us
-            }
-        }
+        let load = match outstanding {
+            0 => Load::Barrier,
+            _ => Load::UnderTraffic(TrafficCfg {
+                msg_bytes: 4096,
+                outstanding: outstanding as u32,
+            }),
+        };
+        Scenario::new(barrier, n, Algorithm::Dissemination, cfg.clone())
+            .with_load(load)
+            .run()
+            .mean_us
     };
 
     let series = |mode: &'static str| -> Vec<(usize, f64)> {

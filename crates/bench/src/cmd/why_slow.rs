@@ -14,14 +14,16 @@
 //! simulation: it re-ingests a JSONL netdump (ours, or a `nicbar-verify
 //! --trace-out` counterexample) and runs the analysis on it, exiting 1
 //! naming the line of an unparseable record or of a record id that is not
-//! strictly increasing.
+//! strictly increasing. `--drop P` injects fabric loss and needs the gm
+//! substrate: the elan fabric has no loss model, so `--substrate elan
+//! --drop P` is a usage error.
 //!
 //! The header stamps which engine produced the run; everything below it is
 //! byte-identical across engines and shard counts.
 
 use crate::cli::Args;
 use nicbar_bench::{critpath, flight, netdump};
-use nicbar_core::{elan_nic_barrier_flight, gm_nic_barrier_flight, Algorithm, FlightData, RunCfg};
+use nicbar_core::{Algorithm, Barrier, FlightData, RunCfg, Scenario};
 use nicbar_elan::ElanParams;
 use nicbar_gm::{CollFeatures, GmParams};
 
@@ -127,16 +129,16 @@ pub fn run(args: &Args) {
         shards: args.shards.unwrap_or(1),
         ..RunCfg::default()
     };
-    let cap: FlightData = match substrate {
-        "gm" => gm_nic_barrier_flight(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
-            nodes,
-            Algorithm::Dissemination,
-            cfg,
-        ),
-        _ => elan_nic_barrier_flight(ElanParams::elan3(), nodes, Algorithm::Dissemination, cfg),
+    let barrier = match substrate {
+        "gm" => Barrier::GmNic {
+            params: GmParams::lanai_xp(),
+            features: CollFeatures::paper(),
+        },
+        _ => Barrier::ElanNic {
+            params: ElanParams::elan3(),
+        },
     };
+    let cap: FlightData = Scenario::new(barrier, nodes, Algorithm::Dissemination, cfg).flight();
 
     println!(
         "== why-slow: {} barrier, {} nodes, seed {}, drop {} ==",

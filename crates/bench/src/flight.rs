@@ -263,21 +263,23 @@ pub fn breakdown(cap: &FlightData) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nicbar_core::{gm_nic_barrier_flight, Algorithm, RunCfg};
+    use nicbar_core::{Algorithm, Barrier, RunCfg, Scenario};
     use nicbar_gm::{CollFeatures, GmParams};
 
+    fn gm_flight(cfg: RunCfg) -> FlightData {
+        let barrier = Barrier::GmNic {
+            params: GmParams::lanai_xp(),
+            features: CollFeatures::paper(),
+        };
+        Scenario::new(barrier, 4, Algorithm::Dissemination, cfg).flight()
+    }
+
     fn capture() -> FlightData {
-        gm_nic_barrier_flight(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
-            4,
-            Algorithm::Dissemination,
-            RunCfg {
-                warmup: 1,
-                iters: 4,
-                ..RunCfg::default()
-            },
-        )
+        gm_flight(RunCfg {
+            warmup: 1,
+            iters: 4,
+            ..RunCfg::default()
+        })
     }
 
     #[test]
@@ -368,19 +370,13 @@ mod tests {
         assert!(breakdown(&cap).contains("engine: sequential"));
         assert!(chrome_trace(std::slice::from_ref(&cap)).contains("\"0:engine\": \"sequential\""));
 
-        let par = gm_nic_barrier_flight(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
-            4,
-            Algorithm::Dissemination,
-            RunCfg {
-                warmup: 1,
-                iters: 4,
-                engine: nicbar_sim::EngineSel::Parallel,
-                shards: 2,
-                ..RunCfg::default()
-            },
-        );
+        let par = gm_flight(RunCfg {
+            warmup: 1,
+            iters: 4,
+            engine: nicbar_sim::EngineSel::Parallel,
+            shards: 2,
+            ..RunCfg::default()
+        });
         assert_eq!((par.engine, par.shards), ("parallel", 2));
         assert!(breakdown(&par).contains("engine: parallel(2)"));
         assert!(chrome_trace(std::slice::from_ref(&par)).contains("\"0:engine\": \"parallel(2)\""));

@@ -88,6 +88,7 @@ fn malformed_invocations_are_usage_errors() {
         &["why-slow", "--drop", "1.5"],
         &["why-slow", "--iters", "0"],
         &["why-slow", "--substrate", "ib"],
+        &["why-slow", "--substrate", "elan", "--drop", "0.02"],
         &["engine-sweep", "--baseline", "b.json"],
         &["contend", "--engine", "parallel"],
         &["timeline"],

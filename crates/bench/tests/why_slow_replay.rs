@@ -4,7 +4,7 @@
 //! offending line.
 
 use nicbar_bench::netdump;
-use nicbar_core::{gm_nic_barrier_flight, Algorithm, RunCfg};
+use nicbar_core::{Algorithm, Barrier, RunCfg, Scenario};
 use nicbar_gm::{CollFeatures, GmParams};
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -23,17 +23,16 @@ fn replay(name: &str, text: &str) -> Output {
 
 #[test]
 fn replay_rejects_a_shuffled_dump_with_the_line_number() {
-    let cap = gm_nic_barrier_flight(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        4,
-        Algorithm::Dissemination,
-        RunCfg {
-            warmup: 1,
-            iters: 2,
-            ..RunCfg::default()
-        },
-    );
+    let barrier = Barrier::GmNic {
+        params: GmParams::lanai_xp(),
+        features: CollFeatures::paper(),
+    };
+    let cfg = RunCfg {
+        warmup: 1,
+        iters: 2,
+        ..RunCfg::default()
+    };
+    let cap = Scenario::new(barrier, 4, Algorithm::Dissemination, cfg).flight();
     let text = netdump::jsonl_with_header(&cap.packets, cap.packets_dropped);
     let ok = replay("why_slow_replay_ordered.jsonl", &text);
     assert_eq!(ok.status.code(), Some(0), "the exported dump replays");

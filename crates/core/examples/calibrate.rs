@@ -69,7 +69,10 @@ fn main() {
             cfg.clone(),
         );
         let gs = elan_gsync_barrier(ElanParams::elan3(), n, 4, cfg.clone());
-        let hw = elan_hw_barrier(ElanParams::elan3(), n, cfg.clone());
+        let hw = Barrier::ElanHw {
+            params: ElanParams::elan3(),
+        };
+        let hw = Scenario::new(hw, n, Algorithm::Dissemination, cfg.clone()).run();
         println!(
             "n={n:2}  NIC-DS {:6.2}  gsync {:6.2}  hw {:6.2}  factor {:.2}",
             nic.mean_us,

@@ -10,33 +10,20 @@
 //! resource-occupancy ledger, and `nicbar_bench`'s critical-path analyzer
 //! attributes every wait edge to the specific owner that held the resource
 //! — the per-barrier interference breakdown the `contend` binary reports.
+//! [`Scenario`](crate::scenario::Scenario) builds the scenario from these
+//! apps under [`Load::Contend`](crate::scenario::Load::Contend).
 
-use crate::driver::{capture_observability, stats_from_logs, FlightData, RunCfg};
-use crate::elan_chain::{build_chains_multi, chain_done_cookie, GroupChain};
 use crate::host_app::BarrierLog;
-use crate::protocol::{GroupSpec, PaperCollective};
-use crate::schedule::Algorithm;
 use crate::traffic::TrafficCfg;
-use nicbar_elan::{
-    ElanApi, ElanApp, ElanCluster, ElanClusterSpec, ElanParams, EventId, TportTag, BULK_TPORT_TAG,
-};
-use nicbar_gm::{
-    CollFeatures, GmApi, GmApp, GmCluster, GmClusterSpec, GmParams, GroupId, MsgId, MsgTag,
-    NicCollective, BULK_TAG,
-};
+use nicbar_elan::{ElanApi, ElanApp, EventId, TportTag, BULK_TPORT_TAG};
+use nicbar_gm::{GmApi, GmApp, GroupId, MsgId, MsgTag, BULK_TAG};
 use nicbar_net::NodeId;
-use nicbar_sim::{RunOutcome, SimTime};
+use nicbar_sim::SimTime;
 use std::collections::HashSet;
 
 /// Base collective group id: contend group `g` is `CONTEND_GROUP_BASE + g`
 /// (distinct from the single-group benchmarks' `0xBA`).
 pub const CONTEND_GROUP_BASE: u32 = 0xC0;
-
-/// Hang backstop for the windowed contend drain (mirrors the interference
-/// benchmark's margin).
-fn contend_deadline(cfg: &RunCfg) -> SimTime {
-    SimTime::from_us(cfg.total() as f64 * 50_000.0 + 1_000_000.0)
-}
 
 /// GM contend app: a member of every group, entering all of them each
 /// epoch, with a saturating bulk stream to the ring neighbour.
@@ -57,10 +44,11 @@ pub struct GmContendApp {
 }
 
 impl GmContendApp {
-    /// A member of `groups` at `rank` on a ring of `n`.
+    /// A member of `groups` on node `node` of `n`, streaming to node
+    /// `node + 1` (mod `n`).
     pub fn new(
         groups: Vec<GroupId>,
-        rank: usize,
+        node: usize,
         n: usize,
         iters: u64,
         skew_us: f64,
@@ -69,7 +57,7 @@ impl GmContendApp {
         GmContendApp {
             groups,
             traffic,
-            bulk_peer: NodeId((rank + 1) % n),
+            bulk_peer: NodeId((node + 1) % n),
             iters,
             skew_us,
             pending: 0,
@@ -141,99 +129,6 @@ impl GmApp for GmContendApp {
     }
 }
 
-/// Run the GM contend scenario with full observability (trace, spans,
-/// netdump, occupancy ledger) and return the capture. Keep `cfg.total()`
-/// small — every NIC charge emits a ledger record.
-pub fn gm_contend_flight(
-    params: GmParams,
-    features: CollFeatures,
-    n: usize,
-    groups: usize,
-    algo: Algorithm,
-    cfg: RunCfg,
-    traffic: TrafficCfg,
-) -> FlightData {
-    assert!(groups >= 1, "need at least one group");
-    let timeout = params.coll_timeout;
-    let spec = GmClusterSpec::new(params, n)
-        .with_seed(cfg.seed)
-        .with_drop_prob(cfg.drop_prob)
-        .with_features(features)
-        .with_scheduler(cfg.scheduler)
-        .with_engine(cfg.engine)
-        .with_shards(cfg.shards);
-    let members: Vec<NodeId> = (0..n).map(NodeId).collect();
-    let shared: std::sync::Arc<[NodeId]> = members.as_slice().into();
-    let gids: Vec<GroupId> = (0..groups)
-        .map(|g| GroupId(CONTEND_GROUP_BASE + u32::try_from(g).expect("group count")))
-        .collect();
-    let mut apps: Vec<Box<dyn GmApp>> = Vec::with_capacity(n);
-    let mut colls: Vec<Box<dyn NicCollective>> = Vec::with_capacity(n);
-    for rank in 0..n {
-        apps.push(Box::new(GmContendApp::new(
-            gids.clone(),
-            rank,
-            n,
-            cfg.total(),
-            cfg.skew_us,
-            traffic,
-        )));
-        colls.push(Box::new(PaperCollective::new(
-            NodeId(rank),
-            gids.iter()
-                .map(|&gid| GroupSpec::barrier(gid, shared.clone(), rank, algo, timeout))
-                .collect(),
-        )));
-    }
-    let mut cluster = GmCluster::build(spec, apps, colls);
-    cluster.engine.enable_trace();
-    cluster.engine.enable_recorder();
-    cluster.engine.enable_netdump();
-    cluster.engine.enable_ledger();
-    cluster
-        .engine
-        .recorder_mut()
-        .set_participants(u32::try_from(n).expect("participant count exceeds u32"));
-    // The bulk stream never idles on its own: run in windows until every
-    // app has completed its epochs, with a generous hang backstop.
-    let deadline = contend_deadline(&cfg);
-    loop {
-        let done = (0..n).all(|i| cluster.app_ref::<GmContendApp>(i).done >= cfg.total());
-        if done {
-            break;
-        }
-        let outcome = cluster
-            .engine
-            .run_bounded(cluster.engine.now() + SimTime::from_us(1_000.0), 50_000_000);
-        assert_ne!(
-            outcome,
-            RunOutcome::BudgetExhausted,
-            "event budget exhausted in contend run"
-        );
-        assert!(
-            cluster.engine.now() < deadline,
-            "contend epochs did not complete by {deadline}"
-        );
-    }
-    let counters: Vec<(String, u64)> = cluster
-        .engine
-        .counters()
-        .iter()
-        .map(|(k, v)| (k.to_string(), v))
-        .collect();
-    let logs: Vec<&[SimTime]> = (0..n)
-        .map(|node| {
-            cluster
-                .app_ref::<GmContendApp>(node)
-                .log
-                .completions
-                .as_slice()
-        })
-        .collect();
-    let stats = stats_from_logs(n, &cfg, logs, counters);
-    capture_observability("gm", &cluster.engine, stats)
-}
-
 /// Elan contend app: sets every group's entry event each epoch and keeps a
 /// forwarding-ring tport stream alive (each delivered bulk message triggers
 /// the next send, so the pipeline depth stays constant until the barriers
@@ -256,11 +151,12 @@ pub struct ElanContendApp {
 }
 
 impl ElanContendApp {
-    /// A member of the groups in `entries` at `rank` on a ring of `n`.
+    /// A member of the groups in `entries` on node `node` of `n`, streaming
+    /// to node `node + 1` (mod `n`).
     pub fn new(
         entries: Vec<(u64, EventId)>,
         cookies: HashSet<u64>,
-        rank: usize,
+        node: usize,
         n: usize,
         iters: u64,
         skew_us: f64,
@@ -270,7 +166,7 @@ impl ElanContendApp {
             entries,
             cookies,
             traffic,
-            bulk_peer: NodeId((rank + 1) % n),
+            bulk_peer: NodeId((node + 1) % n),
             iters,
             skew_us,
             pending: 0,
@@ -335,97 +231,13 @@ impl ElanApp for ElanContendApp {
     }
 }
 
-/// Run the Quadrics contend scenario (multi-group chained-RDMA programs +
-/// forwarding-ring tport traffic) with full observability.
-pub fn elan_contend_flight(
-    params: ElanParams,
-    n: usize,
-    groups: usize,
-    algo: Algorithm,
-    cfg: RunCfg,
-    traffic: TrafficCfg,
-) -> FlightData {
-    assert!(groups >= 1, "need at least one group");
-    let spec = ElanClusterSpec::new(params, n)
-        .with_seed(cfg.seed)
-        .with_scheduler(cfg.scheduler)
-        .with_engine(cfg.engine)
-        .with_shards(cfg.shards);
-    let members: Vec<NodeId> = (0..n).map(NodeId).collect();
-    let chains: Vec<GroupChain> = (0..groups)
-        .map(|g| GroupChain {
-            group: u64::from(CONTEND_GROUP_BASE) + g as u64,
-            algo,
-            members: members.clone(),
-        })
-        .collect();
-    let multi = build_chains_multi(n, &chains);
-    let cookies: HashSet<u64> = (0..groups).map(|gi| chain_done_cookie(gi as u64)).collect();
-    let apps: Vec<Box<dyn ElanApp>> = (0..n)
-        .map(|rank| {
-            let entries: Vec<(u64, EventId)> =
-                multi.entry[rank].iter().map(|(&g, &ev)| (g, ev)).collect();
-            Box::new(ElanContendApp::new(
-                entries,
-                cookies.clone(),
-                rank,
-                n,
-                cfg.total(),
-                cfg.skew_us,
-                traffic,
-            )) as Box<dyn ElanApp>
-        })
-        .collect();
-    let mut cluster = ElanCluster::build(spec, apps, multi.programs);
-    cluster.engine.enable_trace();
-    cluster.engine.enable_recorder();
-    cluster.engine.enable_netdump();
-    cluster.engine.enable_ledger();
-    cluster
-        .engine
-        .recorder_mut()
-        .set_participants(u32::try_from(n).expect("participant count exceeds u32"));
-    let deadline = contend_deadline(&cfg);
-    loop {
-        let done = (0..n).all(|i| cluster.app_ref::<ElanContendApp>(i).done >= cfg.total());
-        if done {
-            break;
-        }
-        let outcome = cluster
-            .engine
-            .run_bounded(cluster.engine.now() + SimTime::from_us(1_000.0), 50_000_000);
-        assert_ne!(
-            outcome,
-            RunOutcome::BudgetExhausted,
-            "event budget exhausted in contend run"
-        );
-        assert!(
-            cluster.engine.now() < deadline,
-            "contend epochs did not complete by {deadline}"
-        );
-    }
-    let counters: Vec<(String, u64)> = cluster
-        .engine
-        .counters()
-        .iter()
-        .map(|(k, v)| (k.to_string(), v))
-        .collect();
-    let logs: Vec<&[SimTime]> = (0..n)
-        .map(|node| {
-            cluster
-                .app_ref::<ElanContendApp>(node)
-                .log
-                .completions
-                .as_slice()
-        })
-        .collect();
-    let stats = stats_from_logs(n, &cfg, logs, counters);
-    capture_observability("elan", &cluster.engine, stats)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::driver::{elan_contend_flight, gm_contend_flight, RunCfg};
+    use crate::schedule::Algorithm;
+    use crate::traffic::TrafficCfg;
+    use nicbar_elan::ElanParams;
+    use nicbar_gm::{CollFeatures, GmParams};
     use nicbar_sim::{LedgerOp, OwnerKind};
 
     fn quick_cfg() -> RunCfg {

@@ -16,7 +16,7 @@
 use crate::host_app::BarrierLog;
 use crate::protocol::ReduceOp;
 use crate::schedule::Schedule;
-use nicbar_elan::{ElanApi, ElanApp, ElanThread, ThreadAction};
+use nicbar_elan::{ElanApi, ElanApp, ElanCluster, ElanNic, ElanThread, ThreadAction};
 use nicbar_net::NodeId;
 use nicbar_sim::SimTime;
 use std::collections::BTreeMap;
@@ -212,6 +212,28 @@ impl ElanApp for ElanThreadApp {
             api.thread_doorbell(self.contributions[next]);
         }
     }
+}
+
+/// Every rank's completed-operation results, in rank order, off a drained
+/// cluster whose NICs run [`ThreadCollective`]s for the group placed on
+/// `members`.
+pub fn thread_results(cluster: &mut ElanCluster, members: &[NodeId]) -> Vec<Vec<u64>> {
+    members
+        .iter()
+        .map(|&node| {
+            let nic_id = cluster.nics[node.0];
+            let nic = cluster
+                .engine
+                .component_mut::<ElanNic>(nic_id)
+                .expect("nic component");
+            nic.thread_mut()
+                .as_any_mut()
+                .downcast_mut::<ThreadCollective>()
+                .expect("thread type")
+                .results()
+                .to_vec()
+        })
+        .collect()
 }
 
 #[cfg(test)]

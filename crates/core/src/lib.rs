@@ -18,9 +18,15 @@
 //! * [`host_app`] / [`elan_apps`] — benchmark applications: host-based
 //!   baselines and NIC-based drivers for both networks, plus the Elanlib
 //!   `elan_gsync`/`elan_hgsync` comparators.
-//! * [`driver`] — the measurement harness reproducing the paper's
-//!   methodology (§8): consecutive barriers, warm-up discarded, average
-//!   latency, optional random node permutation.
+//! * [`scenario`] — the measurement harness reproducing the paper's
+//!   methodology (§8): one plain [`Scenario`] value (barrier kind, N,
+//!   algorithm, [`RunCfg`], load) with one `build` → `drain` → `harvest`
+//!   path — consecutive barriers, warm-up discarded, average latency,
+//!   optional random node permutation, barrier safety checked every run.
+//! * [`driver`] — [`RunCfg`], [`BarrierStats`], [`FlightData`] and the
+//!   one-line entry points over [`Scenario`] that external benchmarks call.
+//! * [`traffic`] / [`contend`] — the apps of the loaded scenarios: a
+//!   barrier under a bulk stream, and overlapping groups under one.
 
 #![warn(missing_docs)]
 
@@ -31,19 +37,18 @@ pub mod elan_chain;
 pub mod elan_thread;
 pub mod host_app;
 pub mod protocol;
+pub mod scenario;
 pub mod schedule;
 pub mod traffic;
 
-pub use contend::{elan_contend_flight, gm_contend_flight, CONTEND_GROUP_BASE};
+pub use contend::CONTEND_GROUP_BASE;
 pub use driver::{
-    build_elan_nic_cluster, build_gm_nic_cluster, capture_observability, elan_gsync_barrier,
-    elan_hw_barrier, elan_nic_barrier, elan_nic_barrier_flight, elan_nic_stats,
-    elan_thread_allreduce, elan_thread_barrier, gm_host_barrier, gm_nic_barrier,
-    gm_nic_barrier_flight, gm_nic_stats, BarrierStats, FlightData, RunCfg, BARRIER_GROUP,
+    build_elan_nic_cluster, build_gm_nic_cluster, elan_contend_flight, elan_gsync_barrier,
+    elan_nic_barrier, elan_nic_stats, gm_contend_flight, gm_host_barrier, gm_nic_barrier,
+    gm_nic_stats, BarrierStats, FlightData, RunCfg, BARRIER_GROUP,
 };
+pub use elan_thread::{thread_results, ThreadOp};
 pub use protocol::{GroupOp, GroupSpec, PaperCollective, ReduceOp};
+pub use scenario::{Barrier, Cluster, Load, Scenario};
 pub use schedule::{ceil_log2, floor_log2, schedules_for, Algorithm, RoundPlan, Schedule};
-pub use traffic::{
-    gm_host_barrier_under_traffic, gm_nic_barrier_under_traffic,
-    gm_nic_barrier_under_traffic_flight, TrafficCfg,
-};
+pub use traffic::TrafficCfg;

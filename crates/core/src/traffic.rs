@@ -12,17 +12,14 @@
 //! congested destination queues; under the group-queue ablation (or with
 //! the host-based barrier) they wait their round-robin turn behind the
 //! bulk tokens — the interference experiment quantifies the difference.
+//! [`Scenario`](crate::scenario::Scenario) runs it under
+//! [`Load::UnderTraffic`](crate::scenario::Load::UnderTraffic).
 
-use crate::driver::{stats_from_logs, BarrierStats, RunCfg, BARRIER_GROUP};
+use crate::driver::BARRIER_GROUP;
 use crate::host_app::{decode_tag, encode_tag, BarrierLog, HostScheduleRunner, BARRIER_MSG_BYTES};
-use crate::protocol::{GroupSpec, PaperCollective};
 use crate::schedule::{Algorithm, Schedule};
-use nicbar_gm::{
-    CollFeatures, GmApi, GmApp, GmCluster, GmClusterSpec, GmParams, GroupId, MsgId, MsgTag,
-    NicCollective,
-};
+use nicbar_gm::{GmApi, GmApp, GroupId, MsgId, MsgTag};
 use nicbar_net::NodeId;
-use nicbar_sim::{RunOutcome, SimTime};
 use std::sync::Arc;
 
 /// Tag marking bulk-traffic messages (distinct from barrier tags, whose
@@ -79,12 +76,13 @@ pub struct BarrierUnderTrafficApp {
 }
 
 impl BarrierUnderTrafficApp {
-    /// NIC-based variant for `rank` on a ring of `n`.
-    pub fn nic(rank: usize, n: usize, iters: u64, traffic: TrafficCfg) -> Self {
+    /// NIC-based variant on node `node` of `n`, streaming to node
+    /// `node + 1` (mod `n`).
+    pub fn nic(node: usize, n: usize, iters: u64, traffic: TrafficCfg) -> Self {
         BarrierUnderTrafficApp {
             mode: BarrierMode::Nic,
             traffic,
-            bulk_peer: NodeId((rank + 1) % n),
+            bulk_peer: NodeId((node + 1) % n),
             iters,
             done: 0,
             bulk_ids: Default::default(),
@@ -94,7 +92,8 @@ impl BarrierUnderTrafficApp {
     }
 
     /// Host-based variant for `rank` of the group over `members` (rank
-    /// order, shared by every rank).
+    /// order, shared by every rank). The bulk stream is node-based: it goes
+    /// from `members[rank]` to the next node, whatever the rank placement.
     pub fn host(
         algo: Algorithm,
         members: Arc<[NodeId]>,
@@ -103,13 +102,14 @@ impl BarrierUnderTrafficApp {
         traffic: TrafficCfg,
     ) -> Self {
         let n = members.len();
+        let bulk_peer = NodeId((members[rank].0 + 1) % n);
         BarrierUnderTrafficApp {
             mode: BarrierMode::Host {
                 runner: HostScheduleRunner::new(Schedule::for_algorithm(algo, n, rank)),
                 members,
             },
             traffic,
-            bulk_peer: NodeId((rank + 1) % n),
+            bulk_peer,
             iters,
             done: 0,
             bulk_ids: Default::default(),
@@ -194,152 +194,4 @@ impl GmApp for BarrierUnderTrafficApp {
         assert_eq!(group, BARRIER_GROUP);
         self.complete(api);
     }
-}
-
-/// Run the NIC-based barrier under bulk traffic.
-pub fn gm_nic_barrier_under_traffic(
-    params: GmParams,
-    features: CollFeatures,
-    n: usize,
-    algo: Algorithm,
-    cfg: RunCfg,
-    traffic: TrafficCfg,
-) -> BarrierStats {
-    let mut cluster = nic_traffic_cluster(params, features, n, algo, &cfg, traffic);
-    finish(&mut cluster, n, cfg)
-}
-
-/// Build the NIC-barrier-under-traffic cluster without running it.
-fn nic_traffic_cluster(
-    params: GmParams,
-    features: CollFeatures,
-    n: usize,
-    algo: Algorithm,
-    cfg: &RunCfg,
-    traffic: TrafficCfg,
-) -> GmCluster {
-    let timeout = params.coll_timeout;
-    let spec = GmClusterSpec::new(params, n)
-        .with_seed(cfg.seed)
-        .with_drop_prob(cfg.drop_prob)
-        .with_features(features)
-        .with_scheduler(cfg.scheduler)
-        .with_engine(cfg.engine)
-        .with_shards(cfg.shards);
-    let members: Vec<NodeId> = (0..n).map(NodeId).collect();
-    let mut apps: Vec<Box<dyn GmApp>> = Vec::new();
-    let mut colls: Vec<Box<dyn NicCollective>> = Vec::new();
-    for rank in 0..n {
-        apps.push(Box::new(BarrierUnderTrafficApp::nic(
-            rank,
-            n,
-            cfg.total(),
-            traffic,
-        )));
-        colls.push(Box::new(PaperCollective::new(
-            NodeId(rank),
-            vec![GroupSpec::barrier(
-                BARRIER_GROUP,
-                members.clone(),
-                rank,
-                algo,
-                timeout,
-            )],
-        )));
-    }
-    GmCluster::build(spec, apps, colls)
-}
-
-/// [`gm_nic_barrier_under_traffic`] with full observability (trace, spans,
-/// netdump, occupancy ledger) — the flight-recorded capture the parity and
-/// interference tests compare byte for byte across engines.
-pub fn gm_nic_barrier_under_traffic_flight(
-    params: GmParams,
-    features: CollFeatures,
-    n: usize,
-    algo: Algorithm,
-    cfg: RunCfg,
-    traffic: TrafficCfg,
-) -> crate::driver::FlightData {
-    let mut cluster = nic_traffic_cluster(params, features, n, algo, &cfg, traffic);
-    cluster.engine.enable_trace();
-    cluster.engine.enable_recorder();
-    cluster.engine.enable_netdump();
-    cluster.engine.enable_ledger();
-    cluster
-        .engine
-        .recorder_mut()
-        .set_participants(u32::try_from(n).expect("participant count exceeds u32"));
-    let stats = finish(&mut cluster, n, cfg);
-    crate::driver::capture_observability("gm", &cluster.engine, stats)
-}
-
-/// Run the host-based barrier under bulk traffic.
-pub fn gm_host_barrier_under_traffic(
-    params: GmParams,
-    n: usize,
-    algo: Algorithm,
-    cfg: RunCfg,
-    traffic: TrafficCfg,
-) -> BarrierStats {
-    let spec = GmClusterSpec::new(params, n)
-        .with_seed(cfg.seed)
-        .with_drop_prob(cfg.drop_prob)
-        .with_scheduler(cfg.scheduler)
-        .with_engine(cfg.engine)
-        .with_shards(cfg.shards);
-    let members: Arc<[NodeId]> = (0..n).map(NodeId).collect();
-    let apps: Vec<Box<dyn GmApp>> = (0..n)
-        .map(|rank| {
-            Box::new(BarrierUnderTrafficApp::host(
-                algo,
-                Arc::clone(&members),
-                rank,
-                cfg.total(),
-                traffic,
-            )) as Box<dyn GmApp>
-        })
-        .collect();
-    let mut cluster = GmCluster::build_p2p(spec, apps);
-    finish(&mut cluster, n, cfg)
-}
-
-fn finish(cluster: &mut GmCluster, n: usize, cfg: RunCfg) -> BarrierStats {
-    // The bulk stream never terminates on its own: run until every app has
-    // completed its barriers, then stop the clock.
-    let deadline = SimTime::from_us(cfg.total() as f64 * 50_000.0 + 1_000_000.0);
-    loop {
-        let done = (0..n).all(|i| cluster.app_ref::<BarrierUnderTrafficApp>(i).done >= cfg.total());
-        if done {
-            break;
-        }
-        let outcome = cluster
-            .engine
-            .run_bounded(cluster.engine.now() + SimTime::from_us(1_000.0), 50_000_000);
-        assert_ne!(
-            outcome,
-            RunOutcome::BudgetExhausted,
-            "event budget exhausted in traffic run"
-        );
-        assert!(
-            cluster.engine.now() < deadline,
-            "barriers did not complete under traffic by {deadline}"
-        );
-    }
-    let counters: Vec<(String, u64)> = cluster
-        .engine
-        .counters()
-        .iter()
-        .map(|(k, v)| (k.to_string(), v))
-        .collect();
-    let logs: Vec<&[SimTime]> = (0..n)
-        .map(|node| {
-            cluster
-                .app_ref::<BarrierUnderTrafficApp>(node)
-                .log
-                .completions
-                .as_slice()
-        })
-        .collect();
-    stats_from_logs(n, &cfg, logs, counters)
 }

@@ -2,8 +2,8 @@
 //! accounting, loss recovery, epoch overlap and determinism.
 
 use nicbar_core::{
-    elan_gsync_barrier, elan_hw_barrier, elan_nic_barrier, gm_host_barrier, gm_nic_barrier,
-    Algorithm, RunCfg,
+    elan_gsync_barrier, elan_nic_barrier, gm_host_barrier, gm_nic_barrier, Algorithm, Barrier,
+    BarrierStats, RunCfg, Scenario,
 };
 use nicbar_elan::ElanParams;
 use nicbar_gm::{CollFeatures, GmParams};
@@ -14,6 +14,14 @@ fn quick() -> RunCfg {
         iters: 50,
         ..RunCfg::default()
     }
+}
+
+/// The Elan3 hardware barrier (`elan_hgsync`) on `n` nodes.
+fn hw_barrier(n: usize) -> BarrierStats {
+    let hw = Barrier::ElanHw {
+        params: ElanParams::elan3(),
+    };
+    Scenario::new(hw, n, Algorithm::Dissemination, quick()).run()
 }
 
 #[test]
@@ -245,9 +253,9 @@ fn elan_hw_barrier_crossover_with_nic_barrier() {
     // Fig. 7: the NIC barrier wins at small n; the flat hardware barrier
     // wins at n = 8.
     let nic2 = elan_nic_barrier(ElanParams::elan3(), 2, Algorithm::Dissemination, quick());
-    let hw2 = elan_hw_barrier(ElanParams::elan3(), 2, quick());
+    let hw2 = hw_barrier(2);
     let nic8 = elan_nic_barrier(ElanParams::elan3(), 8, Algorithm::Dissemination, quick());
-    let hw8 = elan_hw_barrier(ElanParams::elan3(), 8, quick());
+    let hw8 = hw_barrier(8);
     assert!(
         nic2.mean_us < hw2.mean_us,
         "at 2 nodes NIC ({:.2}) should beat hw ({:.2})",

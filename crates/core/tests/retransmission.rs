@@ -8,7 +8,7 @@
 //!   agree with the engine counters.
 
 use nicbar_core::{
-    gm_nic_barrier_flight, Algorithm, GroupSpec, PaperCollective, RunCfg, BARRIER_GROUP,
+    Algorithm, Barrier, GroupSpec, PaperCollective, RunCfg, Scenario, BARRIER_GROUP,
 };
 use nicbar_gm::{
     ActionBuf, CollAction, CollFeatures, CollKind, CollOperand, GmParams, NicCollective,
@@ -126,13 +126,16 @@ fn lossy_run_span_events_agree_with_counters() {
         ..RunCfg::default()
     };
     let n = 8;
-    let cap = gm_nic_barrier_flight(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
+    let cap = Scenario::new(
+        Barrier::GmNic {
+            params: GmParams::lanai_xp(),
+            features: CollFeatures::paper(),
+        },
         n,
         Algorithm::Dissemination,
         cfg.clone(),
-    );
+    )
+    .flight();
     assert_eq!(cap.trace_dropped, 0, "counting needs a complete trace");
 
     let count = |label: &str| cap.records.iter().filter(|r| r.label() == label).count() as u64;

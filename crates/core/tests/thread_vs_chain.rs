@@ -3,9 +3,43 @@
 //! cannot express.
 
 use nicbar_core::{
-    elan_nic_barrier, elan_thread_allreduce, elan_thread_barrier, Algorithm, ReduceOp, RunCfg,
+    elan_nic_barrier, thread_results, Algorithm, Barrier, BarrierStats, Cluster, ReduceOp, RunCfg,
+    Scenario, ThreadOp,
 };
 use nicbar_elan::ElanParams;
+
+/// The §7 thread-processor barrier over Elan3.
+fn thread_barrier(n: usize, cfg: RunCfg) -> BarrierStats {
+    let barrier = Barrier::ElanThread {
+        params: ElanParams::elan3(),
+        op: ThreadOp::Barrier,
+        contribution: |_, _| 0,
+    };
+    Scenario::new(barrier, n, Algorithm::Dissemination, cfg).run()
+}
+
+/// A thread-processor allreduce over Elan3 (Moody-style NIC reduction, the
+/// paper's ref \[14\]): its stats plus every rank's per-epoch results.
+fn allreduce(
+    n: usize,
+    cfg: RunCfg,
+    op: ReduceOp,
+    contribution: fn(usize, u64) -> u64,
+) -> (BarrierStats, Vec<Vec<u64>>) {
+    let barrier = Barrier::ElanThread {
+        params: ElanParams::elan3(),
+        op: ThreadOp::Allreduce { op },
+        contribution,
+    };
+    let s = Scenario::new(barrier, n, Algorithm::Dissemination, cfg);
+    let mut c = s.build();
+    s.drain(&mut c);
+    let stats = s.harvest(&c);
+    let Cluster::Elan(e) = &mut c else {
+        unreachable!("an Elan scenario builds an Elan cluster")
+    };
+    (stats, thread_results(e, &s.cfg.members(n)))
+}
 
 fn cfg() -> RunCfg {
     RunCfg {
@@ -18,7 +52,7 @@ fn cfg() -> RunCfg {
 #[test]
 fn thread_barrier_completes_and_is_correct() {
     for n in [2usize, 3, 5, 8] {
-        let s = elan_thread_barrier(ElanParams::elan3(), n, cfg());
+        let s = thread_barrier(n, cfg());
         assert!(
             s.mean_us > 1.0 && s.mean_us < 25.0,
             "n={n}: {:.2}µs",
@@ -34,7 +68,7 @@ fn chained_descriptors_beat_the_thread_barrier() {
     // barrier must be measurably slower at every size.
     for n in [2usize, 4, 8, 16] {
         let chain = elan_nic_barrier(ElanParams::elan3(), n, Algorithm::Dissemination, cfg());
-        let thread = elan_thread_barrier(ElanParams::elan3(), n, cfg());
+        let thread = thread_barrier(n, cfg());
         assert!(
             thread.mean_us > chain.mean_us * 1.1,
             "n={n}: thread {:.2}µs should clearly exceed chain {:.2}µs",
@@ -52,13 +86,9 @@ fn chained_descriptors_beat_the_thread_barrier() {
 
 #[test]
 fn thread_allreduce_computes_sums() {
-    let (stats, results) = elan_thread_allreduce(
-        ElanParams::elan3(),
-        8,
-        cfg(),
-        ReduceOp::Sum,
-        |rank, epoch| (rank as u64 + 1) * (epoch + 1),
-    );
+    let (stats, results) = allreduce(8, cfg(), ReduceOp::Sum, |rank, epoch| {
+        (rank as u64 + 1) * (epoch + 1)
+    });
     assert!(stats.mean_us > 1.0);
     let total = cfg().total();
     for (rank, r) in results.iter().enumerate() {
@@ -71,8 +101,7 @@ fn thread_allreduce_computes_sums() {
 
 #[test]
 fn thread_allreduce_max_any_size() {
-    let (_, results) = elan_thread_allreduce(
-        ElanParams::elan3(),
+    let (_, results) = allreduce(
         6,
         RunCfg {
             warmup: 2,
@@ -93,11 +122,8 @@ fn thread_allreduce_max_any_size() {
 fn thread_allreduce_is_cheap_relative_to_host_round_trips() {
     // The point of ref \[14\]: NIC-side combining costs barely more than the
     // NIC barrier itself — far below what log₂N host round trips would.
-    let barrier = elan_thread_barrier(ElanParams::elan3(), 8, cfg());
-    let (reduce, _) =
-        elan_thread_allreduce(ElanParams::elan3(), 8, cfg(), ReduceOp::Sum, |rank, _| {
-            rank as u64
-        });
+    let barrier = thread_barrier(8, cfg());
+    let (reduce, _) = allreduce(8, cfg(), ReduceOp::Sum, |rank, _| rank as u64);
     assert!(
         reduce.mean_us < barrier.mean_us * 1.3,
         "allreduce {:.2}µs should cost ≈ the thread barrier {:.2}µs",
@@ -108,7 +134,7 @@ fn thread_allreduce_is_cheap_relative_to_host_round_trips() {
 
 #[test]
 fn thread_runs_are_deterministic() {
-    let a = elan_thread_barrier(ElanParams::elan3(), 8, cfg());
-    let b = elan_thread_barrier(ElanParams::elan3(), 8, cfg());
+    let a = thread_barrier(8, cfg());
+    let b = thread_barrier(8, cfg());
     assert_eq!(a.mean_us, b.mean_us);
 }

@@ -3,8 +3,8 @@
 //! queue behind it (§6.1 made falsifiable).
 
 use nicbar_core::{
-    gm_host_barrier, gm_host_barrier_under_traffic, gm_nic_barrier, gm_nic_barrier_under_traffic,
-    Algorithm, RunCfg, TrafficCfg,
+    gm_host_barrier, gm_nic_barrier, Algorithm, Barrier, BarrierStats, Load, RunCfg, Scenario,
+    TrafficCfg,
 };
 use nicbar_gm::{CollFeatures, GmParams};
 
@@ -23,24 +23,33 @@ fn traffic() -> TrafficCfg {
     }
 }
 
+/// The NIC barrier over LANai-XP with the given protocol features.
+fn nic(features: CollFeatures) -> Barrier {
+    Barrier::GmNic {
+        params: GmParams::lanai_xp(),
+        features,
+    }
+}
+
+/// The host-based barrier over LANai-XP.
+fn host() -> Barrier {
+    Barrier::GmHost {
+        params: GmParams::lanai_xp(),
+    }
+}
+
+/// `barrier` on `n` nodes under the [`traffic`] bulk stream.
+fn under_traffic(barrier: Barrier, n: usize) -> BarrierStats {
+    Scenario::new(barrier, n, Algorithm::Dissemination, cfg())
+        .with_load(Load::UnderTraffic(traffic()))
+        .run()
+}
+
 #[test]
 fn barriers_complete_under_traffic_for_all_modes() {
     for n in [4usize, 8] {
-        let nic = gm_nic_barrier_under_traffic(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
-            n,
-            Algorithm::Dissemination,
-            cfg(),
-            traffic(),
-        );
-        let host = gm_host_barrier_under_traffic(
-            GmParams::lanai_xp(),
-            n,
-            Algorithm::Dissemination,
-            cfg(),
-            traffic(),
-        );
+        let nic = under_traffic(nic(CollFeatures::paper()), n);
+        let host = under_traffic(host(), n);
         assert!(nic.mean_us > 0.0 && host.mean_us > 0.0);
         // Bulk data actually flowed alongside the barriers.
         assert!(
@@ -61,22 +70,9 @@ fn group_queue_bypass_limits_the_slowdown() {
         Algorithm::Dissemination,
         cfg(),
     );
-    let busy = gm_nic_barrier_under_traffic(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        n,
-        Algorithm::Dissemination,
-        cfg(),
-        traffic(),
-    );
+    let busy = under_traffic(nic(CollFeatures::paper()), n);
     let quiet_host = gm_host_barrier(GmParams::lanai_xp(), n, Algorithm::Dissemination, cfg());
-    let busy_host = gm_host_barrier_under_traffic(
-        GmParams::lanai_xp(),
-        n,
-        Algorithm::Dissemination,
-        cfg(),
-        traffic(),
-    );
+    let busy_host = under_traffic(host(), n);
     let nic_slowdown = busy.mean_us / quiet.mean_us;
     let host_slowdown = busy_host.mean_us / quiet_host.mean_us;
     assert!(
@@ -92,22 +88,8 @@ fn group_queue_bypass_limits_the_slowdown() {
 #[test]
 fn direct_scheme_queues_behind_bulk_traffic() {
     let n = 8;
-    let paper = gm_nic_barrier_under_traffic(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        n,
-        Algorithm::Dissemination,
-        cfg(),
-        traffic(),
-    );
-    let direct = gm_nic_barrier_under_traffic(
-        GmParams::lanai_xp(),
-        CollFeatures::direct(),
-        n,
-        Algorithm::Dissemination,
-        cfg(),
-        traffic(),
-    );
+    let paper = under_traffic(nic(CollFeatures::paper()), n);
+    let direct = under_traffic(nic(CollFeatures::direct()), n);
     assert!(
         direct.mean_us > paper.mean_us * 1.3,
         "direct ({:.2}) should queue visibly behind bulk vs paper ({:.2})",
@@ -118,16 +100,6 @@ fn direct_scheme_queues_behind_bulk_traffic() {
 
 #[test]
 fn traffic_runs_are_deterministic() {
-    let run = || {
-        gm_nic_barrier_under_traffic(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
-            8,
-            Algorithm::Dissemination,
-            cfg(),
-            traffic(),
-        )
-        .mean_us
-    };
+    let run = || under_traffic(nic(CollFeatures::paper()), 8).mean_us;
     assert_eq!(run(), run());
 }

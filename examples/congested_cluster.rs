@@ -11,8 +11,7 @@
 //! ```
 
 use nicbar::core::{
-    gm_host_barrier, gm_host_barrier_under_traffic, gm_nic_barrier, gm_nic_barrier_under_traffic,
-    Algorithm, RunCfg, TrafficCfg,
+    gm_host_barrier, gm_nic_barrier, Algorithm, Barrier, Load, RunCfg, Scenario, TrafficCfg,
 };
 use nicbar::gm::{CollFeatures, GmParams};
 
@@ -59,32 +58,22 @@ fn main() {
             msg_bytes: 4096,
             outstanding,
         };
-        let nic = gm_nic_barrier_under_traffic(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
-            n,
-            Algorithm::Dissemination,
-            cfg.clone(),
-            traffic,
-        )
-        .mean_us;
-        let direct = gm_nic_barrier_under_traffic(
-            GmParams::lanai_xp(),
-            CollFeatures::direct(),
-            n,
-            Algorithm::Dissemination,
-            cfg.clone(),
-            traffic,
-        )
-        .mean_us;
-        let host = gm_host_barrier_under_traffic(
-            GmParams::lanai_xp(),
-            n,
-            Algorithm::Dissemination,
-            cfg.clone(),
-            traffic,
-        )
-        .mean_us;
+        let loaded = |barrier| {
+            Scenario::new(barrier, n, Algorithm::Dissemination, cfg.clone())
+                .with_load(Load::UnderTraffic(traffic))
+                .run()
+                .mean_us
+        };
+        let params = GmParams::lanai_xp;
+        let nic = loaded(Barrier::GmNic {
+            params: params(),
+            features: CollFeatures::paper(),
+        });
+        let direct = loaded(Barrier::GmNic {
+            params: params(),
+            features: CollFeatures::direct(),
+        });
+        let host = loaded(Barrier::GmHost { params: params() });
 
         println!("--- {outstanding} × 4 KB bulk messages in flight per process ---");
         println!(

@@ -11,9 +11,7 @@
 //! cargo run --release --example nic_thread_tradeoff
 //! ```
 
-use nicbar::core::{
-    elan_nic_barrier, elan_thread_allreduce, elan_thread_barrier, Algorithm, ReduceOp, RunCfg,
-};
+use nicbar::core::{elan_nic_barrier, Algorithm, Barrier, ReduceOp, RunCfg, Scenario, ThreadOp};
 use nicbar::elan::ElanParams;
 
 fn main() {
@@ -35,14 +33,23 @@ fn main() {
             Algorithm::Dissemination,
             cfg.clone(),
         );
-        let thread = elan_thread_barrier(ElanParams::elan3(), n, cfg.clone());
-        let (reduce, _) = elan_thread_allreduce(
-            ElanParams::elan3(),
+        let thread = Scenario::new(
+            Barrier::ElanThread {
+                params: ElanParams::elan3(),
+                op: ThreadOp::Barrier,
+                contribution: |_, _| 0,
+            },
             n,
+            Algorithm::Dissemination,
             cfg.clone(),
-            ReduceOp::Max,
-            |r, _| r as u64,
-        );
+        )
+        .run();
+        let reduce = Barrier::ElanThread {
+            params: ElanParams::elan3(),
+            op: ThreadOp::Allreduce { op: ReduceOp::Max },
+            contribution: |r, _| r as u64,
+        };
+        let reduce = Scenario::new(reduce, n, Algorithm::Dissemination, cfg.clone()).run();
         println!(
             "{n:>6} {:>12.2}µs {:>12.2}µs {:>9.0}% {:>14.2}µs",
             chain.mean_us,

@@ -5,9 +5,11 @@
 #
 # Every gate runs under the `gate` wrapper, which times it and prints a
 # per-gate wall-time summary at the end — so when the gate gets slow, the
-# summary names the culprit instead of leaving it to guesswork. A gate the
-# host cannot run goes through `skip_gate` instead, so the summary lists it
-# as SKIPPED with its reason rather than leaving it out.
+# summary names the culprit instead of leaving it to guesswork. A failing
+# gate does not stop the script: every later gate still runs, the summary
+# marks the failure FAILED, and the script exits non-zero at the end. A
+# gate the host cannot run goes through `skip_gate` instead, so the summary
+# lists it as SKIPPED with its reason rather than leaving it out.
 #
 # Bench commands all run through the one front end, `cargo run --release
 # -q -p nicbar-bench -- <command> [flags]`. CI runs why-slow (smoke and
@@ -23,16 +25,29 @@ cd "$(dirname "$0")/.."
 GATE_NAMES=()
 GATE_SECS=()
 GATE_NOTES=()
+FAILED_GATES=()
 gate() {
     local name="$1"
     shift
-    local t0 t1
+    local t0 t1 status
     t0=$(date +%s%N)
-    "$@"
+    # A subshell outside any `if`/`||` context keeps `set -e` live inside
+    # the gate, so a multi-step gate still stops at its first failing step;
+    # `set +e` around it lets the script go on to the next gate.
+    set +e
+    (set -e; "$@")
+    status=$?
+    set -e
     t1=$(date +%s%N)
     GATE_NAMES+=("$name")
     GATE_SECS+=("$(printf '%d.%03ds' $(((t1 - t0) / 1000000000)) $(((t1 - t0) / 1000000 % 1000)))")
-    GATE_NOTES+=("")
+    if [ "$status" -eq 0 ]; then
+        GATE_NOTES+=("")
+    else
+        GATE_NOTES+=("  FAILED (exit $status)")
+        FAILED_GATES+=("$name")
+        echo "check.sh: gate $name FAILED (exit $status); continuing" >&2
+    fi
 }
 skip_gate() {
     GATE_NAMES+=("$1")
@@ -101,7 +116,6 @@ verify_counterexample_gate() {
     rm -rf "$tmp"
 }
 gate "verify-counterexample" verify_counterexample_gate
-echo "check.sh: protocol model checking OK"
 
 # Zero-overhead gate: with the flight recorder and trace ring disabled,
 # engine throughput must stay within 5% of the saved baseline. Skipped if
@@ -124,7 +138,6 @@ engine_prof_quick_gate() {
     cargo run --release -q -p nicbar-bench -- engine-prof --quick --check > /dev/null
 }
 gate "engine-prof-quick" engine_prof_quick_gate
-echo "check.sh: engine-prof smoke OK"
 host_threads=$(nproc 2>/dev/null || echo 1)
 if [ "$host_threads" -lt 8 ]; then
     skip_gate "engine-prof-full" "$host_threads hardware threads, needs 8"
@@ -135,7 +148,6 @@ else
         cargo run --release -q -p nicbar-bench -- engine-prof --check > /dev/null
     }
     gate "engine-prof-full" engine_prof_full_gate
-    echo "check.sh: engine-prof full gate OK"
 fi
 
 # Parallel-engine parity smoke: the rank-sharded engine must reproduce the
@@ -145,7 +157,6 @@ fi
 # (tests/parallel_parity.rs; release so the windowed loop matches the
 # shipped hot path).
 gate "parallel-parity" cargo test --release -q --test parallel_parity
-echo "check.sh: parallel engine parity OK"
 
 # Causal-observability smoke: why-slow on an 8-node lossy GM sim must
 # produce a non-empty critical path for every barrier, attribute >= 95%
@@ -156,14 +167,12 @@ why_slow_gate() {
         --nodes 8 --drop 0.02 --seed 7 --check > /dev/null
 }
 gate "why-slow-smoke" why_slow_gate
-echo "check.sh: why-slow smoke OK"
 
 # Allocation gate: a steady-state NIC barrier must not touch the heap.
 # The counting-allocator test runs in its own binary (process-wide
 # allocator, single test), release mode so the measurement matches the
 # shipped hot path.
 gate "alloc-steady" cargo test --release -q --test alloc_steady
-echo "check.sh: allocation gate OK"
 
 # Scalability smoke: the quick sweep (sub-sampled grid up to the 65,536-node
 # gm NIC-DS point) must complete, both dissemination curves must fit the
@@ -186,7 +195,6 @@ fig_scale_gate() {
     cargo run --release -q -p nicbar-bench -- fig-scale --quick > "$fig_scale_log"
 }
 gate "fig-scale-smoke" fig_scale_gate
-echo "check.sh: fig-scale smoke OK"
 if grep -q "speedup gate skipped" "$fig_scale_log"; then
     skip_gate "fig-scale-speedup" "<8 hardware threads"
 else
@@ -205,7 +213,6 @@ fig_scale_profile_gate() {
         --partition profile=results/engine_prof_pr7.json > /dev/null
 }
 gate "fig-scale-profile-partition" fig_scale_profile_gate
-echo "check.sh: profile-guided partition parity OK"
 
 # Tracked perf-trajectory artifacts: quick fig5/fig7 sweeps append a run
 # to BENCH_fig5.json and BENCH_fig7.json at the repo root (median + p99
@@ -265,11 +272,14 @@ contend_gate() {
     echo "check.sh: contend trajectory OK (runs: $runs_after)"
 }
 gate "contend-smoke" contend_gate
-echo "check.sh: contend smoke OK"
 
 echo ""
 echo "check.sh: per-gate wall time"
 for i in "${!GATE_NAMES[@]}"; do
     printf '  %10s  %s%s\n' "${GATE_SECS[$i]}" "${GATE_NAMES[$i]}" "${GATE_NOTES[$i]}"
 done
+if [ "${#FAILED_GATES[@]}" -gt 0 ]; then
+    echo "check.sh: ${#FAILED_GATES[@]} gate(s) FAILED: ${FAILED_GATES[*]}" >&2
+    exit 1
+fi
 echo "check.sh: all green"

@@ -22,8 +22,8 @@ pub use nicbar_sim as sim;
 /// Commonly used items, for examples and downstream quickstarts.
 pub mod prelude {
     pub use nicbar_core::{
-        elan_gsync_barrier, elan_hw_barrier, elan_nic_barrier, gm_host_barrier, gm_nic_barrier,
-        Algorithm, BarrierStats, GroupOp, GroupSpec, PaperCollective, ReduceOp, RunCfg,
+        elan_gsync_barrier, elan_nic_barrier, gm_host_barrier, gm_nic_barrier, Algorithm, Barrier,
+        BarrierStats, GroupOp, GroupSpec, Load, PaperCollective, ReduceOp, RunCfg, Scenario,
     };
     pub use nicbar_elan::ElanParams;
     pub use nicbar_gm::{CollFeatures, GmParams, GroupId};

@@ -1,6 +1,8 @@
 //! Shared oracle for the determinism and parallel-parity suites.
 
-use nicbar::core::FlightData;
+use nicbar::core::{Barrier, FlightData};
+use nicbar::elan::ElanParams;
+use nicbar::gm::{CollFeatures, GmParams};
 
 /// Byte-exact projection of everything a run observes: trace records in
 /// emission order, span summaries in completion order, histograms,
@@ -19,4 +21,19 @@ pub fn first_divergence(a: &str, b: &str) -> usize {
         .zip(b.bytes())
         .position(|(x, y)| x != y)
         .unwrap_or_else(|| a.len().min(b.len()))
+}
+
+/// The paper's NIC barrier over GM on the LANai-XP cluster.
+pub fn gm_nic() -> Barrier {
+    Barrier::GmNic {
+        params: GmParams::lanai_xp(),
+        features: CollFeatures::paper(),
+    }
+}
+
+/// The chained-RDMA NIC barrier over Quadrics Elan3.
+pub fn elan_nic() -> Barrier {
+    Barrier::ElanNic {
+        params: ElanParams::elan3(),
+    }
 }

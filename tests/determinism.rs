@@ -10,10 +10,8 @@
 
 mod common;
 
-use common::{first_divergence, witness};
-use nicbar::core::{elan_nic_barrier_flight, gm_nic_barrier_flight, Algorithm, RunCfg};
-use nicbar::elan::ElanParams;
-use nicbar::gm::{CollFeatures, GmParams};
+use common::{elan_nic, first_divergence, gm_nic, witness};
+use nicbar::core::{Algorithm, RunCfg, Scenario};
 
 fn lossy_cfg(seed: u64) -> RunCfg {
     RunCfg {
@@ -28,15 +26,8 @@ fn lossy_cfg(seed: u64) -> RunCfg {
 
 #[test]
 fn gm_lossy_8_node_run_is_bit_deterministic() {
-    let run = || {
-        gm_nic_barrier_flight(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
-            8,
-            Algorithm::Dissemination,
-            lossy_cfg(0xD0_0DAD),
-        )
-    };
+    let run =
+        || Scenario::new(gm_nic(), 8, Algorithm::Dissemination, lossy_cfg(0xD0_0DAD)).flight();
     let a = witness(&run());
     let b = witness(&run());
     assert!(
@@ -46,21 +37,17 @@ fn gm_lossy_8_node_run_is_bit_deterministic() {
     );
     // A different seed must actually change the run — otherwise the
     // witness is vacuous (e.g. everything empty).
-    let c = witness(&gm_nic_barrier_flight(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        8,
-        Algorithm::Dissemination,
-        lossy_cfg(0xC0FFEE),
-    ));
+    let c = witness(
+        &Scenario::new(gm_nic(), 8, Algorithm::Dissemination, lossy_cfg(0xC0FFEE)).flight(),
+    );
     assert!(a != c, "seed does not influence the run witness");
 }
 
 #[test]
 fn elan_8_node_run_is_bit_deterministic() {
     let run = || {
-        elan_nic_barrier_flight(
-            ElanParams::elan3(),
+        Scenario::new(
+            elan_nic(),
             8,
             Algorithm::Dissemination,
             RunCfg {
@@ -71,6 +58,7 @@ fn elan_8_node_run_is_bit_deterministic() {
                 ..RunCfg::default()
             },
         )
+        .flight()
     };
     let a = witness(&run());
     let b = witness(&run());
@@ -85,22 +73,22 @@ fn elan_8_node_run_is_bit_deterministic() {
 /// ledger's record stream and drop count under the same-seed contract.
 #[test]
 fn gm_traffic_run_with_ledger_is_bit_deterministic() {
-    use nicbar::core::{gm_nic_barrier_under_traffic_flight, TrafficCfg};
+    use nicbar::core::{Load, TrafficCfg};
     let run = || {
-        gm_nic_barrier_under_traffic_flight(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
+        Scenario::new(
+            gm_nic(),
             8,
             Algorithm::Dissemination,
             RunCfg {
                 iters: 40,
                 ..lossy_cfg(0x1ED6E2)
             },
-            TrafficCfg {
-                msg_bytes: 4096,
-                outstanding: 2,
-            },
         )
+        .with_load(Load::UnderTraffic(TrafficCfg {
+            msg_bytes: 4096,
+            outstanding: 2,
+        }))
+        .flight()
     };
     let (a, b) = (run(), run());
     assert!(!a.ledger.is_empty(), "traffic flight must arm the ledger");
@@ -121,13 +109,8 @@ fn why_slow_report_is_byte_identical_across_same_seed_runs() {
     use nicbar_bench::{critpath, netdump};
 
     let report = || {
-        let cap = gm_nic_barrier_flight(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
-            8,
-            Algorithm::Dissemination,
-            lossy_cfg(0xD0_0DAD),
-        );
+        let cap =
+            Scenario::new(gm_nic(), 8, Algorithm::Dissemination, lossy_cfg(0xD0_0DAD)).flight();
         let paths = critpath::analyze(&cap.packets);
         (critpath::render(&paths), netdump::jsonl(&cap.packets))
     };
@@ -192,13 +175,7 @@ fn flight_hist_export_names_are_pinned() {
     ];
     for (cfg, expected) in cases {
         let lossy = cfg.drop_prob > 0.0;
-        let f = gm_nic_barrier_flight(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
-            8,
-            Algorithm::Dissemination,
-            cfg,
-        );
+        let f = Scenario::new(gm_nic(), 8, Algorithm::Dissemination, cfg).flight();
         let names: Vec<&str> = f.hists.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, expected, "lossy={lossy}");
         let closed = f.spans.len() as u64 + f.spans_dropped;

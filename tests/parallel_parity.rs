@@ -10,10 +10,10 @@
 
 mod common;
 
-use common::{first_divergence, witness};
+use common::{elan_nic, first_divergence, gm_nic, witness};
 use nicbar::core::{
-    build_gm_nic_cluster, elan_nic_barrier_flight, gm_nic_barrier_flight, Algorithm, FlightData,
-    RunCfg,
+    build_gm_nic_cluster, Algorithm, Barrier, Cluster, FlightData, Load, RunCfg, Scenario,
+    TrafficCfg, CONTEND_GROUP_BASE,
 };
 use nicbar::elan::ElanParams;
 use nicbar::gm::{CollFeatures, GmParams};
@@ -45,17 +45,11 @@ fn assert_parity(label: &str, seq: &FlightData, par: &FlightData) {
 }
 
 fn gm_flight(n: usize, algo: Algorithm, engine: EngineSel, shards: usize) -> FlightData {
-    gm_nic_barrier_flight(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        n,
-        algo,
-        cfg(engine, shards),
-    )
+    Scenario::new(gm_nic(), n, algo, cfg(engine, shards)).flight()
 }
 
 fn elan_flight(n: usize, algo: Algorithm, engine: EngineSel, shards: usize) -> FlightData {
-    elan_nic_barrier_flight(ElanParams::elan3(), n, algo, cfg(engine, shards))
+    Scenario::new(elan_nic(), n, algo, cfg(engine, shards)).flight()
 }
 
 #[test]
@@ -90,9 +84,8 @@ fn elan_parallel_matches_sequential_byte_for_byte() {
 #[test]
 fn gm_lossy_parallel_matches_sequential() {
     let lossy = |engine, shards| {
-        gm_nic_barrier_flight(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
+        Scenario::new(
+            gm_nic(),
             16,
             Algorithm::Dissemination,
             RunCfg {
@@ -105,6 +98,7 @@ fn gm_lossy_parallel_matches_sequential() {
                 ..RunCfg::default()
             },
         )
+        .flight()
     };
     let seq = lossy(EngineSel::Sequential, 1);
     assert!(
@@ -125,20 +119,14 @@ fn gm_lossy_parallel_matches_sequential() {
 /// the whole capture — ledger included — byte for byte on both substrates.
 #[test]
 fn gm_traffic_parallel_matches_sequential_byte_for_byte() {
-    use nicbar::core::{gm_nic_barrier_under_traffic_flight, TrafficCfg};
     let traffic = TrafficCfg {
         msg_bytes: 4096,
         outstanding: 2,
     };
     let run = |engine, shards| {
-        gm_nic_barrier_under_traffic_flight(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
-            8,
-            Algorithm::Dissemination,
-            cfg(engine, shards),
-            traffic,
-        )
+        Scenario::new(gm_nic(), 8, Algorithm::Dissemination, cfg(engine, shards))
+            .with_load(Load::UnderTraffic(traffic))
+            .flight()
     };
     let seq = run(EngineSel::Sequential, 1);
     assert!(!seq.ledger.is_empty(), "traffic flight must arm the ledger");
@@ -150,7 +138,7 @@ fn gm_traffic_parallel_matches_sequential_byte_for_byte() {
 
 #[test]
 fn elan_traffic_parallel_matches_sequential_byte_for_byte() {
-    use nicbar::core::{elan_contend_flight, TrafficCfg};
+    use nicbar::core::elan_contend_flight;
     let traffic = TrafficCfg {
         msg_bytes: 4096,
         outstanding: 2,
@@ -314,9 +302,8 @@ fn weighted_partition_matches_sequential_byte_for_byte() {
         boundary_cost: (0..16u64).map(|j| (j * 13) % 11).collect(),
     };
     let run = |engine, shards, partition| {
-        gm_nic_barrier_flight(
-            GmParams::lanai_xp(),
-            CollFeatures::paper(),
+        Scenario::new(
+            gm_nic(),
             16,
             Algorithm::Dissemination,
             RunCfg {
@@ -324,6 +311,7 @@ fn weighted_partition_matches_sequential_byte_for_byte() {
                 ..cfg(engine, shards)
             },
         )
+        .flight()
     };
     let seq = run(EngineSel::Sequential, 1, PartitionSel::Contiguous);
     for shards in [2, 5, 8] {
@@ -354,8 +342,8 @@ fn profile_guided_partition_matches_sequential() {
         "profile must produce a weighted partition"
     );
     let run = |engine, shards, partition| {
-        elan_nic_barrier_flight(
-            ElanParams::elan3(),
+        Scenario::new(
+            elan_nic(),
             16,
             Algorithm::Dissemination,
             RunCfg {
@@ -363,6 +351,7 @@ fn profile_guided_partition_matches_sequential() {
                 ..cfg(engine, shards)
             },
         )
+        .flight()
     };
     let seq = run(EngineSel::Sequential, 1, PartitionSel::Contiguous);
     for shards in [3, 8] {
@@ -399,8 +388,8 @@ const PARTIAL: [(&str, Armed); 5] = [
     ("all-off", armed(false, false, false, false)),
 ];
 
-fn arm<M: Send + 'static>(engine: &mut nicbar::sim::ExecEngine<M>, on: Armed, n: usize) {
-    let records = engine.records_mut();
+fn arm(cluster: &mut Cluster, on: Armed, n: usize) {
+    let records = cluster.records_mut();
     if on.trace {
         records.trace.enable();
     }
@@ -418,42 +407,27 @@ fn arm<M: Send + 'static>(engine: &mut nicbar::sim::ExecEngine<M>, on: Armed, n:
 
 const PARTIAL_NODES: usize = 8;
 
+/// A `PARTIAL_NODES` NIC barrier run with only the `on` stores armed.
+fn armed_flight(barrier: Barrier, on: Armed, cfg: RunCfg) -> FlightData {
+    let s = Scenario::new(barrier, PARTIAL_NODES, Algorithm::Dissemination, cfg);
+    let mut c = s.build();
+    arm(&mut c, on, PARTIAL_NODES);
+    s.drain(&mut c);
+    c.capture(s.harvest(&c))
+}
+
 /// Lossy gm NIC barrier with only the `on` stores armed.
 fn gm_armed(on: Armed, engine: EngineSel, shards: usize) -> FlightData {
-    use nicbar::core::{capture_observability, gm_nic_stats};
     let cfg = RunCfg {
         drop_prob: 0.02,
         ..cfg(engine, shards)
     };
-    let mut c = build_gm_nic_cluster(
-        GmParams::lanai_xp(),
-        CollFeatures::paper(),
-        PARTIAL_NODES,
-        Algorithm::Dissemination,
-        &cfg,
-        false,
-    );
-    arm(&mut c.engine, on, PARTIAL_NODES);
-    assert_eq!(c.run_until(cfg.deadline()), nicbar::sim::RunOutcome::Idle);
-    let stats = gm_nic_stats(&c, PARTIAL_NODES, &cfg);
-    capture_observability("gm", &c.engine, stats)
+    armed_flight(gm_nic(), on, cfg)
 }
 
 /// Elan NIC barrier with only the `on` stores armed.
 fn elan_armed(on: Armed, engine: EngineSel, shards: usize) -> FlightData {
-    use nicbar::core::{build_elan_nic_cluster, capture_observability, elan_nic_stats};
-    let cfg = cfg(engine, shards);
-    let mut c = build_elan_nic_cluster(
-        ElanParams::elan3(),
-        PARTIAL_NODES,
-        Algorithm::Dissemination,
-        &cfg,
-        false,
-    );
-    arm(&mut c.engine, on, PARTIAL_NODES);
-    assert_eq!(c.run_until(cfg.deadline()), nicbar::sim::RunOutcome::Idle);
-    let stats = elan_nic_stats(&c, PARTIAL_NODES, &cfg);
-    capture_observability("elan", &c.engine, stats)
+    armed_flight(elan_nic(), on, cfg(engine, shards))
 }
 
 /// One record path serves every store, so arming a subset must route each
@@ -518,5 +492,125 @@ fn partially_armed_stores_match_sequential_and_stay_separate() {
                 );
             }
         }
+    }
+}
+
+/// The contend scenario every placement/partition test runs: two groups
+/// plus a two-deep bulk stream, on `n` nodes.
+fn contend(barrier: Barrier, n: usize, cfg: RunCfg) -> Scenario {
+    let traffic = TrafficCfg {
+        msg_bytes: 4096,
+        outstanding: 2,
+    };
+    Scenario::new(barrier, n, Algorithm::Dissemination, cfg)
+        .with_load(Load::Contend { groups: 2, traffic })
+}
+
+/// Contend runs place ranks by `cfg.members`: under `permute`, every
+/// collective packet goes between dissemination partners (ranks 2^k apart)
+/// of the permuted placement, on both substrates, and the parallel engine
+/// still reproduces the sequential run.
+#[test]
+fn contend_honours_the_permuted_placement() {
+    use nicbar::sim::{CausalKind, NO_NODE};
+    const N: usize = 12;
+    let permuted = |engine, shards| RunCfg {
+        warmup: 2,
+        iters: 4,
+        permute: true,
+        seed: 11,
+        ..cfg(engine, shards)
+    };
+    let mut rank_of = [0; N];
+    for (rank, node) in permuted(EngineSel::Sequential, 1)
+        .members(N)
+        .iter()
+        .enumerate()
+    {
+        rank_of[node.0] = rank;
+    }
+    let groups = u64::from(CONTEND_GROUP_BASE)..u64::from(CONTEND_GROUP_BASE) + 2;
+    for (substrate, barrier) in [("gm", gm_nic()), ("elan", elan_nic())] {
+        let seq = contend(barrier.clone(), N, permuted(EngineSel::Sequential, 1)).flight();
+        // GM keys collective packets by group; Elan's chained RDMA fires
+        // carry no group, so tell them from the bulk tport fires, whose
+        // detail `b` is the 4096-byte message length.
+        let collective: Vec<_> = seq
+            .packets
+            .iter()
+            .filter(|p| p.kind == CausalKind::Fire && p.dst != NO_NODE)
+            .filter(|p| match substrate {
+                "gm" => groups.contains(&p.group),
+                _ => p.b != 4096,
+            })
+            .collect();
+        assert!(!collective.is_empty(), "{substrate}: no collective packets");
+        for p in collective {
+            let gap = (rank_of[p.dst as usize] + N - rank_of[p.src as usize]) % N;
+            assert!(
+                gap.is_power_of_two() || (N - gap).is_power_of_two(),
+                "{substrate}: packet from node {} to node {} joins ranks {gap} apart: {p:?}",
+                p.src,
+                p.dst
+            );
+        }
+        let par = contend(barrier, N, permuted(EngineSel::Parallel, 3)).flight();
+        assert_parity(&format!("{substrate} permuted contend"), &seq, &par);
+    }
+}
+
+/// Per-shard `(components, events)` of a profiled parallel run of `s`.
+fn shard_split(s: &Scenario) -> Vec<(usize, u64)> {
+    let mut c = s.build();
+    match &mut c {
+        Cluster::Gm(g) => g.engine.enable_prof(),
+        Cluster::Elan(e) => e.engine.enable_prof(),
+    }
+    s.drain(&mut c);
+    let prof = match &c {
+        Cluster::Gm(g) => g.engine.prof_snapshot(),
+        Cluster::Elan(e) => e.engine.prof_snapshot(),
+    };
+    let prof = prof.expect("a parallel run with the profiler armed");
+    prof.data.iter().map(|d| (d.components, d.events)).collect()
+}
+
+/// Contend runs honour `cfg.partition`: a lumpy `Weighted` partition moves
+/// the shard cut points away from the contiguous split on both
+/// substrates, and the run still matches the sequential one byte for byte.
+#[test]
+fn contend_honours_the_weighted_partition() {
+    use nicbar::sim::PartitionSel;
+    const N: usize = 16;
+    // The first four nodes weigh as much as the other twelve together, so a
+    // weight-balanced cut gives the first shard far fewer nodes.
+    let lumpy = PartitionSel::Weighted {
+        weights: (0..N).map(|j| if j < 4 { 30 } else { 10 }).collect(),
+        boundary_cost: vec![0; N].into(),
+    };
+    let short = |engine, shards, partition| RunCfg {
+        warmup: 2,
+        iters: 4,
+        partition,
+        ..cfg(engine, shards)
+    };
+    for (substrate, barrier) in [("gm", gm_nic()), ("elan", elan_nic())] {
+        let parallel =
+            |partition| contend(barrier.clone(), N, short(EngineSel::Parallel, 3, partition));
+        assert_ne!(
+            shard_split(&parallel(PartitionSel::Contiguous)),
+            shard_split(&parallel(lumpy.clone())),
+            "{substrate}: the weighted partition did not change the shard split"
+        );
+        let seq = contend(
+            barrier.clone(),
+            N,
+            short(EngineSel::Sequential, 1, PartitionSel::Contiguous),
+        );
+        assert_parity(
+            &format!("{substrate} weighted contend"),
+            &seq.flight(),
+            &parallel(lumpy.clone()).flight(),
+        );
     }
 }

@@ -1,14 +1,20 @@
-//! Property-based tests (proptest): barrier safety and liveness under
-//! arbitrary group sizes, seeds, skews and loss rates; schedule-generator
-//! invariants; model-fit sanity.
+//! Property-based tests (proptest): barrier safety, liveness and engine
+//! invariance over generated scenarios; schedule-generator invariants;
+//! model-fit sanity.
 
+mod common;
+
+use common::{elan_nic, first_divergence, gm_nic, witness};
 use nicbar::core::schedule::{disseminates, validate, Schedule};
 use nicbar::core::{
-    elan_nic_barrier, gm_host_barrier, gm_nic_barrier, schedules_for, Algorithm, RunCfg,
+    elan_nic_barrier, gm_host_barrier, gm_nic_barrier, schedules_for, Algorithm, Barrier,
+    FlightData, Load, ReduceOp, RunCfg, Scenario, ThreadOp, TrafficCfg,
 };
 use nicbar::elan::ElanParams;
 use nicbar::gm::{CollFeatures, GmParams};
+use nicbar::sim::{EngineSel, PartitionSel, SchedulerKind};
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn arb_algo() -> impl Strategy<Value = Algorithm> {
     prop_oneof![
@@ -16,6 +22,149 @@ fn arb_algo() -> impl Strategy<Value = Algorithm> {
         Just(Algorithm::PairwiseExchange),
         (2usize..5).prop_map(|degree| Algorithm::GatherBroadcast { degree }),
     ]
+}
+
+/// Every barrier × load pair `Scenario::build` accepts.
+const KINDS: usize = 12;
+
+/// The `kind`-th accepted barrier × load pair on `n` nodes.
+fn barrier_and_load(kind: usize, n: usize, groups: usize, traffic: TrafficCfg) -> (Barrier, Load) {
+    let gm_host = Barrier::GmHost {
+        params: GmParams::lanai_xp(),
+    };
+    let elan3 = ElanParams::elan3();
+    let thread = |op| Barrier::ElanThread {
+        params: ElanParams::elan3(),
+        op,
+        contribution: |rank, epoch| 7 * rank as u64 + epoch,
+    };
+    // A Sum allreduce needs a power-of-two group; Max takes any size.
+    let reduce = if n.is_power_of_two() {
+        ReduceOp::Sum
+    } else {
+        ReduceOp::Max
+    };
+    let contend = Load::Contend { groups, traffic };
+    match kind {
+        0 => (gm_nic(), Load::Barrier),
+        1 => (gm_nic(), Load::UnderTraffic(traffic)),
+        2 => (gm_nic(), contend),
+        3 => (gm_host.clone(), Load::Barrier),
+        4 => (gm_host, Load::UnderTraffic(traffic)),
+        5 => (elan_nic(), Load::Barrier),
+        6 => (elan_nic(), contend),
+        7 => (
+            Barrier::ElanGsync {
+                params: elan3,
+                degree: 2 + n % 3,
+            },
+            Load::Barrier,
+        ),
+        8 => (Barrier::ElanHw { params: elan3 }, Load::Barrier),
+        9 => (thread(ThreadOp::Barrier), Load::Barrier),
+        10 => (thread(ThreadOp::Allreduce { op: reduce }), Load::Barrier),
+        _ => (
+            Barrier::GmNic {
+                params: GmParams::lanai_xp(),
+                features: CollFeatures::direct(),
+            },
+            Load::Barrier,
+        ),
+    }
+}
+
+/// A seeded scenario: any accepted barrier × load pair, N in 2..=24 (most
+/// not powers of two), every algorithm and scheduler, random placement,
+/// skew, loss on GM, 1–3 contend groups, a lumpy weighted partition, and
+/// 2–4 shards for the parallel run — at most 6 epochs, so a case is cheap.
+fn arb_scenario() -> impl Strategy<Value = Scenario> {
+    let shape = (0..KINDS, 2usize..25, arb_algo(), 1usize..4);
+    let placement = (0u64..1000, any::<bool>(), 0usize..3, 2usize..5);
+    let stress = (
+        prop_oneof![Just(0.0), 1.0f64..30.0],
+        prop_oneof![Just(0.0), Just(0.01), Just(0.05)],
+        2u64..6,
+        any::<bool>(),
+    );
+    (shape, placement, stress).prop_map(
+        |(
+            (kind, n, algo, groups),
+            (seed, permute, sched, shards),
+            (skew_us, drop, iters, lumpy),
+        )| {
+            let traffic = TrafficCfg {
+                msg_bytes: 4096,
+                outstanding: 1 + (seed % 2) as u32,
+            };
+            let (barrier, load) = barrier_and_load(kind, n, groups, traffic);
+            let gm = matches!(barrier, Barrier::GmNic { .. } | Barrier::GmHost { .. });
+            let partition = if lumpy {
+                PartitionSel::Weighted {
+                    weights: (0..n as u64).map(|j| 1 + (j % 5) * 7).collect(),
+                    boundary_cost: (0..n as u64).map(|j| (j * 13) % 11).collect(),
+                }
+            } else {
+                PartitionSel::Contiguous
+            };
+            let scheduler = [
+                SchedulerKind::TimingWheel,
+                SchedulerKind::Indexed4,
+                SchedulerKind::ClassicBinaryHeap,
+            ][sched];
+            let cfg = RunCfg {
+                warmup: 1,
+                iters,
+                seed,
+                skew_us,
+                drop_prob: if gm { drop } else { 0.0 },
+                permute,
+                scheduler,
+                engine: EngineSel::Parallel,
+                shards,
+                partition,
+            };
+            Scenario::new(barrier, n, algo, cfg).with_load(load)
+        },
+    )
+}
+
+/// Build, drain and harvest `s` with every record store armed; a panic
+/// (a hang, a lost rank, a barrier-safety violation) becomes a message.
+fn try_flight(s: &Scenario) -> Result<FlightData, String> {
+    catch_unwind(AssertUnwindSafe(|| s.flight())).map_err(|p| {
+        p.downcast_ref::<String>()
+            .cloned()
+            .or_else(|| p.downcast_ref::<&str>().map(|m| m.to_string()))
+            .unwrap_or_default()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(60))]
+
+    /// Every generated scenario completes every epoch on every rank and
+    /// never releases a barrier early (`harvest` asserts both), and the
+    /// parallel engine reproduces the sequential run byte for byte.
+    #[test]
+    fn generated_scenarios_are_safe_and_engine_invariant(s in arb_scenario()) {
+        let par = try_flight(&s);
+        prop_assert!(par.is_ok(), "parallel run of {:?} failed: {:?}", s, par.err());
+        let seq_scenario = Scenario {
+            cfg: RunCfg { engine: EngineSel::Sequential, shards: 1, ..s.cfg.clone() },
+            ..s.clone()
+        };
+        let seq = try_flight(&seq_scenario);
+        prop_assert!(seq.is_ok(), "sequential run of {:?} failed: {:?}", s, seq.err());
+        let (seq, par) = (seq.unwrap(), par.unwrap());
+        prop_assert!(seq.stats.mean_us > 0.0, "{:?}: zero latency", s);
+        let (a, b) = (witness(&seq), witness(&par));
+        prop_assert!(
+            a == b,
+            "{:?}: parallel run diverges from sequential at byte {}",
+            s,
+            first_divergence(&a, &b)
+        );
+    }
 }
 
 proptest! {

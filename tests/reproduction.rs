@@ -3,8 +3,8 @@
 //! caught. Paper anchors from the abstract and §8.
 
 use nicbar::core::{
-    elan_gsync_barrier, elan_hw_barrier, elan_nic_barrier, gm_host_barrier, gm_nic_barrier,
-    Algorithm, RunCfg,
+    elan_gsync_barrier, elan_nic_barrier, gm_host_barrier, gm_nic_barrier, Algorithm, Barrier,
+    BarrierStats, RunCfg, Scenario,
 };
 use nicbar::elan::ElanParams;
 use nicbar::gm::{CollFeatures, GmParams};
@@ -15,6 +15,14 @@ fn cfg() -> RunCfg {
         iters: 500,
         ..RunCfg::default()
     }
+}
+
+/// The Elan3 hardware barrier (`elan_hgsync`) on `n` nodes.
+fn hw_barrier(n: usize) -> BarrierStats {
+    let hw = Barrier::ElanHw {
+        params: ElanParams::elan3(),
+    };
+    Scenario::new(hw, n, Algorithm::Dissemination, cfg()).run()
 }
 
 fn within(value: f64, target: f64, tol_frac: f64) -> bool {
@@ -44,13 +52,13 @@ fn quadrics_improvement_over_tree_barrier_near_2_48x() {
 
 #[test]
 fn quadrics_hw_barrier_near_4_20us_and_flat() {
-    let hw8 = elan_hw_barrier(ElanParams::elan3(), 8, cfg());
+    let hw8 = hw_barrier(8);
     assert!(
         within(hw8.mean_us, 4.20, 0.10),
         "hw barrier @8 = {:.2}µs (paper 4.20)",
         hw8.mean_us
     );
-    let hw2 = elan_hw_barrier(ElanParams::elan3(), 2, cfg());
+    let hw2 = hw_barrier(2);
     assert!(
         (hw8.mean_us - hw2.mean_us).abs() < 1.0,
         "hw barrier should be nearly flat: {:.2} vs {:.2}",
