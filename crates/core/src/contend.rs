@@ -1,53 +1,150 @@
-//! Contention scenario: M overlapping barrier groups plus background bulk
-//! traffic over shared NICs.
+//! The NIC-based barrier apps of both substrates, alone, under bulk traffic
+//! or in overlapping groups.
 //!
-//! The interference experiment (`traffic`) shows *that* background streams
-//! slow a barrier down; this scenario exists to show *who* is responsible.
-//! Every node is a member of all M collective groups and keeps a bulk
-//! stream to its ring neighbour in flight, so every contended NIC resource
-//! (processor, DMA engine, token queues, event slots, rx ports) is shared
-//! by collective, traffic, and fabric owners at once. The run captures the
-//! resource-occupancy ledger, and `nicbar_bench`'s critical-path analyzer
-//! attributes every wait edge to the specific owner that held the resource
-//! — the per-barrier interference breakdown the `contend` binary reports.
-//! [`Scenario`](crate::scenario::Scenario) builds the scenario from these
-//! apps under [`Load::Contend`](crate::scenario::Load::Contend).
+//! §6.1's motivation: "the arrived message may not immediately lead to the
+//! transmission of the next message until the corresponding request gets
+//! its turn in the relevant queues. This imposes unnecessary delays into
+//! the barrier operations." That delay only exists when something *else*
+//! occupies the queues, so a rank may keep a [`BulkStream`] of
+//! `outstanding` large messages in flight to its ring neighbour while it
+//! runs the barrier loop. With the paper's dedicated group queue the
+//! barrier messages bypass the congested destination queues; under the
+//! group-queue ablation (or with the host-based barrier, which takes the
+//! same stream) they wait their round-robin turn behind the bulk tokens —
+//! the interference experiment quantifies the difference.
+//!
+//! The contention scenario goes further: every node is a member of all M
+//! collective groups and streams to its neighbour, so every contended NIC
+//! resource (processor, DMA engine, token queues, event slots, rx ports)
+//! is shared by collective, traffic, and fabric owners at once. The run
+//! captures the resource-occupancy ledger, and `nicbar_bench`'s
+//! critical-path analyzer attributes every wait edge to the specific owner
+//! that held the resource — the per-barrier interference breakdown the
+//! `contend` command reports.
+//!
+//! A plain barrier is one group with no stream:
+//! [`Scenario`](crate::scenario::Scenario) builds these apps under every
+//! [`Load`](crate::scenario::Load) of `GmNic` and `ElanNic`.
 
-use crate::host_app::BarrierLog;
-use crate::traffic::TrafficCfg;
+use crate::host_app::{BarrierLog, Reentry};
 use nicbar_elan::{ElanApi, ElanApp, EventId, TportTag, BULK_TPORT_TAG};
 use nicbar_gm::{GmApi, GmApp, GroupId, MsgId, MsgTag, BULK_TAG};
 use nicbar_net::NodeId;
-use nicbar_sim::SimTime;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Base collective group id: contend group `g` is `CONTEND_GROUP_BASE + g`
 /// (distinct from the single-group benchmarks' `0xBA`).
 pub const CONTEND_GROUP_BASE: u32 = 0xC0;
 
-/// GM contend app: a member of every group, entering all of them each
-/// epoch, with a saturating bulk stream to the ring neighbour.
-pub struct GmContendApp {
-    groups: Vec<GroupId>,
+/// Background-traffic configuration.
+#[derive(Clone, Copy, Debug)]
+pub struct TrafficCfg {
+    /// Bytes per bulk message.
+    pub msg_bytes: u32,
+    /// Bulk messages kept in flight per process (0 = no stream).
+    pub outstanding: u32,
+}
+
+impl TrafficCfg {
+    /// No bulk stream: the paper's plain barrier loop.
+    pub const NONE: TrafficCfg = TrafficCfg {
+        msg_bytes: 0,
+        outstanding: 0,
+    };
+}
+
+impl Default for TrafficCfg {
+    fn default() -> Self {
+        TrafficCfg {
+            msg_bytes: 4096,
+            outstanding: 4,
+        }
+    }
+}
+
+/// One node's bulk stream to its ring neighbour (node `v` streams to node
+/// `v + 1`, whatever the rank placement), kept `outstanding` messages deep
+/// while the barrier loop runs. Boxed and optional in every app, so a
+/// plain-barrier rank carries one null pointer.
+pub(crate) struct BulkStream {
     traffic: TrafficCfg,
-    bulk_peer: NodeId,
+    peer: NodeId,
+    /// GM sends in flight: exactly these are replenished on completion,
+    /// keeping the pipeline depth constant.
+    in_flight: HashSet<MsgId>,
+}
+
+impl BulkStream {
+    /// The stream from node `node` of `n`, or `None` when `traffic` keeps
+    /// nothing in flight.
+    pub(crate) fn new(node: usize, n: usize, traffic: TrafficCfg) -> Option<Box<Self>> {
+        (traffic.outstanding > 0).then(|| {
+            Box::new(BulkStream {
+                traffic,
+                peer: NodeId((node + 1) % n),
+                in_flight: HashSet::new(),
+            })
+        })
+    }
+
+    /// GM: post receive buffers for the stream on top of the defaults, then
+    /// fill the pipeline.
+    pub(crate) fn start_gm(&mut self, api: &mut GmApi<'_>) {
+        api.post_recv(self.traffic.outstanding + 4);
+        for _ in 0..self.traffic.outstanding {
+            self.send_gm(api);
+        }
+    }
+
+    fn send_gm(&mut self, api: &mut GmApi<'_>) {
+        let id = api.send(self.peer, self.traffic.msg_bytes, BULK_TAG);
+        self.in_flight.insert(id);
+    }
+
+    /// GM: a send completed; if it was a bulk message and the barrier loop
+    /// is still `live`, send its replacement.
+    pub(crate) fn on_send_done(&mut self, api: &mut GmApi<'_>, msg_id: MsgId, live: bool) {
+        if self.in_flight.remove(&msg_id) && live {
+            self.send_gm(api);
+        }
+    }
+
+    /// Elan: fill the pipeline of the forwarding ring (each delivered
+    /// message triggers the next send, see [`Self::send_elan`]).
+    pub(crate) fn start_elan(&self, api: &mut ElanApi<'_>) {
+        for _ in 0..self.traffic.outstanding {
+            self.send_elan(api);
+        }
+    }
+
+    /// Elan: send one bulk message to the neighbour.
+    pub(crate) fn send_elan(&self, api: &mut ElanApi<'_>) {
+        api.tport_send(self.peer, BULK_TPORT_TAG, self.traffic.msg_bytes);
+    }
+}
+
+/// GM NIC-barrier app: a member of every group in `groups`, entering all of
+/// them each epoch (one doorbell per group), optionally with a bulk stream
+/// to the ring neighbour.
+pub struct GmContendApp {
+    /// Shared by every rank of the scenario.
+    groups: Arc<[GroupId]>,
     iters: u64,
     skew_us: f64,
     /// Groups still outstanding in the current epoch.
     pending: usize,
-    done: u64,
-    bulk_ids: HashSet<MsgId>,
+    bulk: Option<Box<BulkStream>>,
     /// Epoch completion times (an epoch completes when all groups have).
     pub log: BarrierLog,
-    /// Bulk messages delivered to this process.
-    pub bulk_received: u64,
 }
 
 impl GmContendApp {
-    /// A member of `groups` on node `node` of `n`, streaming to node
-    /// `node + 1` (mod `n`).
+    /// A member of `groups` on node `node` of `n`, running `iters` epochs
+    /// and streaming `traffic` to node `node + 1` (mod `n`). Pass every
+    /// rank a clone of one `Arc` to share the group list.
     pub fn new(
-        groups: Vec<GroupId>,
+        groups: impl Into<Arc<[GroupId]>>,
         node: usize,
         n: usize,
         iters: u64,
@@ -55,72 +152,64 @@ impl GmContendApp {
         traffic: TrafficCfg,
     ) -> Self {
         GmContendApp {
-            groups,
-            traffic,
-            bulk_peer: NodeId((node + 1) % n),
+            groups: groups.into(),
             iters,
             skew_us,
             pending: 0,
-            done: 0,
-            bulk_ids: HashSet::new(),
+            bulk: BulkStream::new(node, n, traffic),
             log: BarrierLog::with_capacity(iters),
-            bulk_received: 0,
         }
     }
 
     /// Epochs completed (all groups done).
     pub fn done(&self) -> u64 {
-        self.done
+        self.log.done()
     }
 
     fn enter(&mut self, api: &mut GmApi<'_>) {
         self.pending = self.groups.len();
-        for &g in &self.groups {
+        for &g in self.groups.iter() {
             api.collective(g, 0);
         }
-    }
-
-    fn send_bulk(&mut self, api: &mut GmApi<'_>) {
-        let id = api.send(self.bulk_peer, self.traffic.msg_bytes, BULK_TAG);
-        self.bulk_ids.insert(id);
     }
 }
 
 impl GmApp for GmContendApp {
     fn on_start(&mut self, api: &mut GmApi<'_>) {
-        api.post_recv(self.traffic.outstanding + 4);
-        for _ in 0..self.traffic.outstanding {
-            self.send_bulk(api);
+        if let Some(bulk) = &mut self.bulk {
+            bulk.start_gm(api);
         }
         self.enter(api);
     }
 
     fn on_recv(&mut self, _api: &mut GmApi<'_>, _src: NodeId, tag: MsgTag, _len: u32) {
-        assert_eq!(tag, BULK_TAG, "contend app only expects bulk p2p");
-        self.bulk_received += 1;
+        assert!(
+            tag == BULK_TAG && self.bulk.is_some(),
+            "NIC-barrier app got a point-to-point message it did not stream"
+        );
     }
 
     fn on_send_done(&mut self, api: &mut GmApi<'_>, msg_id: MsgId) {
-        if self.bulk_ids.remove(&msg_id) && self.done < self.iters {
-            self.send_bulk(api);
+        let live = self.done() < self.iters;
+        if let Some(bulk) = &mut self.bulk {
+            bulk.on_send_done(api, msg_id, live);
         }
     }
 
-    fn on_coll_done(&mut self, api: &mut GmApi<'_>, group: GroupId, _epoch: u64, _value: u64) {
+    fn on_coll_done(&mut self, api: &mut GmApi<'_>, group: GroupId, epoch: u64, _value: u64) {
         assert!(self.groups.contains(&group), "completion for foreign group");
+        assert_eq!(epoch, self.done(), "completions out of order");
         self.pending -= 1;
         if self.pending > 0 {
             return;
         }
-        self.done += 1;
-        self.log.completions.push(api.now());
-        if self.done < self.iters {
-            if self.skew_us > 0.0 {
-                let d = api.rng().range_f64(0.0, self.skew_us);
-                api.set_timer(SimTime::from_us(d));
-            } else {
-                self.enter(api);
-            }
+        match self
+            .log
+            .complete(api.now(), self.iters, self.skew_us, api.rng())
+        {
+            Reentry::Now => self.enter(api),
+            Reentry::After(delay) => api.set_timer(delay),
+            Reentry::Stop => {}
         }
     }
 
@@ -129,33 +218,29 @@ impl GmApp for GmContendApp {
     }
 }
 
-/// Elan contend app: sets every group's entry event each epoch and keeps a
-/// forwarding-ring tport stream alive (each delivered bulk message triggers
-/// the next send, so the pipeline depth stays constant until the barriers
-/// finish).
+/// Elan NIC-barrier app: sets every group's entry event each epoch,
+/// optionally keeping a forwarding-ring tport stream alive (each delivered
+/// bulk message triggers the next send, so the pipeline depth stays
+/// constant until the barriers finish).
 pub struct ElanContendApp {
     /// `(group id, entry event)` per group this node belongs to.
-    entries: Vec<(u64, EventId)>,
-    /// Expected completion cookies (one per group).
-    cookies: HashSet<u64>,
-    traffic: TrafficCfg,
-    bulk_peer: NodeId,
+    entries: Arc<[(u64, EventId)]>,
+    /// Expected completion cookies (one per group), shared by every rank.
+    cookies: Arc<HashSet<u64>>,
     iters: u64,
     skew_us: f64,
     pending: usize,
-    done: u64,
+    bulk: Option<Box<BulkStream>>,
     /// Epoch completion times.
     pub log: BarrierLog,
-    /// Bulk messages delivered to this process.
-    pub bulk_received: u64,
 }
 
 impl ElanContendApp {
-    /// A member of the groups in `entries` on node `node` of `n`, streaming
-    /// to node `node + 1` (mod `n`).
+    /// A member of the groups in `entries` on node `node` of `n`, running
+    /// `iters` epochs and streaming `traffic` to node `node + 1` (mod `n`).
     pub fn new(
-        entries: Vec<(u64, EventId)>,
-        cookies: HashSet<u64>,
+        entries: impl Into<Arc<[(u64, EventId)]>>,
+        cookies: impl Into<Arc<HashSet<u64>>>,
         node: usize,
         n: usize,
         iters: u64,
@@ -163,27 +248,24 @@ impl ElanContendApp {
         traffic: TrafficCfg,
     ) -> Self {
         ElanContendApp {
-            entries,
-            cookies,
-            traffic,
-            bulk_peer: NodeId((node + 1) % n),
+            entries: entries.into(),
+            cookies: cookies.into(),
             iters,
             skew_us,
             pending: 0,
-            done: 0,
+            bulk: BulkStream::new(node, n, traffic),
             log: BarrierLog::with_capacity(iters),
-            bulk_received: 0,
         }
     }
 
     /// Epochs completed (all groups done).
     pub fn done(&self) -> u64 {
-        self.done
+        self.log.done()
     }
 
     fn enter(&mut self, api: &mut ElanApi<'_>) {
         self.pending = self.entries.len();
-        for &(group, ev) in &self.entries {
+        for &(group, ev) in self.entries.iter() {
             api.set_nic_event_for_group(ev, group);
         }
     }
@@ -191,17 +273,20 @@ impl ElanContendApp {
 
 impl ElanApp for ElanContendApp {
     fn on_start(&mut self, api: &mut ElanApi<'_>) {
-        for _ in 0..self.traffic.outstanding {
-            api.tport_send(self.bulk_peer, BULK_TPORT_TAG, self.traffic.msg_bytes);
+        if let Some(bulk) = &self.bulk {
+            bulk.start_elan(api);
         }
         self.enter(api);
     }
 
     fn on_recv(&mut self, api: &mut ElanApi<'_>, _src: NodeId, tag: TportTag, _len: u32) {
-        assert_eq!(tag, BULK_TPORT_TAG, "contend app only expects bulk tports");
-        self.bulk_received += 1;
-        if self.done < self.iters {
-            api.tport_send(self.bulk_peer, BULK_TPORT_TAG, self.traffic.msg_bytes);
+        assert_eq!(
+            tag, BULK_TPORT_TAG,
+            "NIC-barrier app only expects bulk tports"
+        );
+        let bulk = self.bulk.as_ref().expect("bulk message without a stream");
+        if self.log.done() < self.iters {
+            bulk.send_elan(api);
         }
     }
 
@@ -214,15 +299,13 @@ impl ElanApp for ElanContendApp {
         if self.pending > 0 {
             return;
         }
-        self.done += 1;
-        self.log.completions.push(api.now());
-        if self.done < self.iters {
-            if self.skew_us > 0.0 {
-                let d = api.rng().range_f64(0.0, self.skew_us);
-                api.set_timer(SimTime::from_us(d));
-            } else {
-                self.enter(api);
-            }
+        match self
+            .log
+            .complete(api.now(), self.iters, self.skew_us, api.rng())
+        {
+            Reentry::Now => self.enter(api),
+            Reentry::After(delay) => api.set_timer(delay),
+            Reentry::Stop => {}
         }
     }
 
@@ -233,9 +316,9 @@ impl ElanApp for ElanContendApp {
 
 #[cfg(test)]
 mod tests {
+    use super::TrafficCfg;
     use crate::driver::{elan_contend_flight, gm_contend_flight, RunCfg};
     use crate::schedule::Algorithm;
-    use crate::traffic::TrafficCfg;
     use nicbar_elan::ElanParams;
     use nicbar_gm::{CollFeatures, GmParams};
     use nicbar_sim::{LedgerOp, OwnerKind};

@@ -4,11 +4,9 @@
 //! methodology (warm-up iterations discarded, the average of the measured
 //! iterations reported, optional random node permutation).
 
-use crate::elan_apps::ElanNicBarrierApp;
-use crate::host_app::NicBarrierApp;
+use crate::contend::{ElanContendApp, GmContendApp, TrafficCfg};
 use crate::scenario::{harvest_logs, Barrier, Load, Scenario};
 use crate::schedule::Algorithm;
-use crate::traffic::TrafficCfg;
 use nicbar_elan::{ElanCluster, ElanParams};
 use nicbar_gm::{CollFeatures, GmCluster, GmParams, GroupId};
 use nicbar_net::{NodeId, Permutation};
@@ -264,7 +262,7 @@ pub fn build_elan_nic_cluster(
 /// Harvest a drained [`build_gm_nic_cluster`] cluster into [`BarrierStats`].
 pub fn gm_nic_stats(cluster: &GmCluster, n: usize, cfg: &RunCfg) -> BarrierStats {
     harvest_logs(n, cfg, cluster.engine.counters(), |node| {
-        &cluster.app_ref::<NicBarrierApp>(node).log
+        &cluster.app_ref::<GmContendApp>(node).log
     })
 }
 
@@ -272,7 +270,7 @@ pub fn gm_nic_stats(cluster: &GmCluster, n: usize, cfg: &RunCfg) -> BarrierStats
 /// [`BarrierStats`].
 pub fn elan_nic_stats(cluster: &ElanCluster, n: usize, cfg: &RunCfg) -> BarrierStats {
     harvest_logs(n, cfg, cluster.engine.counters(), |node| {
-        &cluster.app_ref::<ElanNicBarrierApp>(node).log
+        &cluster.app_ref::<ElanContendApp>(node).log
     })
 }
 

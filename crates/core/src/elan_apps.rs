@@ -1,69 +1,23 @@
-//! Elan benchmark applications: the chained-RDMA NIC barrier driver, the
-//! Elanlib tree barrier (`elan_gsync`) and the hardware barrier
-//! (`elan_hgsync`) — the four curves of the paper's Fig. 7.
+//! Elan comparator benchmark applications: the Elanlib tree barrier
+//! (`elan_gsync`) and the hardware barrier (`elan_hgsync`) of the paper's
+//! Fig. 7. The chained-RDMA NIC barrier's app is
+//! [`ElanContendApp`](crate::contend::ElanContendApp).
 
-use crate::elan_chain::{CHAIN_DONE_COOKIE, ENTRY_EVENT};
-use crate::host_app::BarrierLog;
+use crate::host_app::{BarrierLog, Reentry};
 use nicbar_elan::{
     hw_cookie, ElanApi, ElanApp, Gsync, GsyncStep, TportTag, BCAST_TAG, GATHER_TAG, GSYNC_MSG_BYTES,
 };
 use nicbar_net::NodeId;
-use nicbar_sim::SimTime;
-
-/// NIC-based barrier over chained RDMA (paper §7): the host sets the entry
-/// event once per barrier and waits for the done notification.
-pub struct ElanNicBarrierApp {
-    iters: u64,
-    skew_us: f64,
-    done: u64,
-    /// Measurements.
-    pub log: BarrierLog,
-}
-
-impl ElanNicBarrierApp {
-    /// Run `iters` consecutive barriers.
-    pub fn new(iters: u64, skew_us: f64) -> Self {
-        ElanNicBarrierApp {
-            iters,
-            skew_us,
-            done: 0,
-            log: BarrierLog::with_capacity(iters),
-        }
-    }
-}
-
-impl ElanApp for ElanNicBarrierApp {
-    fn on_start(&mut self, api: &mut ElanApi<'_>) {
-        api.set_nic_event(ENTRY_EVENT);
-    }
-
-    fn on_coll_done(&mut self, api: &mut ElanApi<'_>, cookie: u64) {
-        assert_eq!(cookie, CHAIN_DONE_COOKIE);
-        self.done += 1;
-        self.log.completions.push(api.now());
-        if self.done < self.iters {
-            if self.skew_us > 0.0 {
-                let d = api.rng().range_f64(0.0, self.skew_us);
-                api.set_timer(SimTime::from_us(d));
-            } else {
-                api.set_nic_event(ENTRY_EVENT);
-            }
-        }
-    }
-
-    fn on_timer(&mut self, api: &mut ElanApi<'_>) {
-        api.set_nic_event(ENTRY_EVENT);
-    }
-}
+use std::sync::Arc;
 
 /// Elanlib `elan_gsync()` benchmark app: host-driven tree gather-broadcast.
 pub struct ElanGsyncApp {
     gsync: Gsync,
-    /// Rank → node placement (the tree is built in rank space).
-    members: Vec<NodeId>,
+    /// Rank → node placement (the tree is built in rank space), shared by
+    /// every rank of the group.
+    members: Arc<[NodeId]>,
     iters: u64,
     skew_us: f64,
-    pending_enter: bool,
     /// Measurements.
     pub log: BarrierLog,
 }
@@ -71,16 +25,28 @@ pub struct ElanGsyncApp {
 impl ElanGsyncApp {
     /// Run `iters` consecutive `elan_gsync` barriers for `rank` of the
     /// group placed on `members` (rank order), with a `degree`-ary tree.
-    pub fn new(rank: usize, members: Vec<NodeId>, degree: usize, iters: u64, skew_us: f64) -> Self {
-        let n = members.len();
+    /// Pass every rank a clone of one `Arc` to keep the build linear in
+    /// the group size.
+    pub fn new(
+        rank: usize,
+        members: impl Into<Arc<[NodeId]>>,
+        degree: usize,
+        iters: u64,
+        skew_us: f64,
+    ) -> Self {
+        let members = members.into();
         ElanGsyncApp {
-            gsync: Gsync::new(rank, n, degree),
+            gsync: Gsync::new(rank, members.len(), degree),
             members,
             iters,
             skew_us,
-            pending_enter: false,
             log: BarrierLog::with_capacity(iters),
         }
+    }
+
+    fn enter(&mut self, api: &mut ElanApi<'_>) {
+        let step = self.gsync.begin();
+        self.issue(api, step);
     }
 
     fn issue(&mut self, api: &mut ElanApi<'_>, step: GsyncStep) {
@@ -88,26 +54,23 @@ impl ElanGsyncApp {
             // Gsync speaks in ranks; translate to the physical placement.
             api.tport_send(self.members[s.dst.0], s.tag, GSYNC_MSG_BYTES);
         }
-        if step.done {
-            self.log.completions.push(api.now());
-            if self.gsync.epochs_done() < self.iters {
-                if self.skew_us > 0.0 {
-                    let d = api.rng().range_f64(0.0, self.skew_us);
-                    self.pending_enter = true;
-                    api.set_timer(SimTime::from_us(d));
-                } else {
-                    let next = self.gsync.begin();
-                    self.issue(api, next);
-                }
-            }
+        if !step.done {
+            return;
+        }
+        match self
+            .log
+            .complete(api.now(), self.iters, self.skew_us, api.rng())
+        {
+            Reentry::Now => self.enter(api),
+            Reentry::After(delay) => api.set_timer(delay),
+            Reentry::Stop => {}
         }
     }
 }
 
 impl ElanApp for ElanGsyncApp {
     fn on_start(&mut self, api: &mut ElanApi<'_>) {
-        let step = self.gsync.begin();
-        self.issue(api, step);
+        self.enter(api);
     }
 
     fn on_recv(&mut self, api: &mut ElanApi<'_>, _src: NodeId, tag: TportTag, _len: u32) {
@@ -125,11 +88,7 @@ impl ElanApp for ElanGsyncApp {
     }
 
     fn on_timer(&mut self, api: &mut ElanApi<'_>) {
-        if self.pending_enter {
-            self.pending_enter = false;
-            let step = self.gsync.begin();
-            self.issue(api, step);
-        }
+        self.enter(api);
     }
 }
 
@@ -137,7 +96,6 @@ impl ElanApp for ElanGsyncApp {
 pub struct ElanHwBarrierApp {
     iters: u64,
     skew_us: f64,
-    done: u64,
     /// Measurements.
     pub log: BarrierLog,
 }
@@ -148,7 +106,6 @@ impl ElanHwBarrierApp {
         ElanHwBarrierApp {
             iters,
             skew_us,
-            done: 0,
             log: BarrierLog::with_capacity(iters),
         }
     }
@@ -160,16 +117,14 @@ impl ElanApp for ElanHwBarrierApp {
     }
 
     fn on_coll_done(&mut self, api: &mut ElanApi<'_>, cookie: u64) {
-        assert_eq!(cookie, hw_cookie(self.done), "hw epochs out of order");
-        self.done += 1;
-        self.log.completions.push(api.now());
-        if self.done < self.iters {
-            if self.skew_us > 0.0 {
-                let d = api.rng().range_f64(0.0, self.skew_us);
-                api.set_timer(SimTime::from_us(d));
-            } else {
-                api.hw_sync();
-            }
+        assert_eq!(cookie, hw_cookie(self.log.done()), "hw epochs out of order");
+        match self
+            .log
+            .complete(api.now(), self.iters, self.skew_us, api.rng())
+        {
+            Reentry::Now => api.hw_sync(),
+            Reentry::After(delay) => api.set_timer(delay),
+            Reentry::Stop => {}
         }
     }
 

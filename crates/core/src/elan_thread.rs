@@ -13,13 +13,14 @@
 //! GM engine, banked per `(epoch, round)` so consecutive operations
 //! overlap safely.
 
-use crate::host_app::BarrierLog;
+use crate::host_app::{BarrierLog, Reentry};
 use crate::protocol::ReduceOp;
 use crate::schedule::Schedule;
 use nicbar_elan::{ElanApi, ElanApp, ElanCluster, ElanNic, ElanThread, ThreadAction};
 use nicbar_net::NodeId;
 use nicbar_sim::SimTime;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Completion cookie for thread-based collectives.
 pub const THREAD_DONE_COOKIE: u64 = 0x7442;
@@ -50,7 +51,8 @@ fn decode(tag: u32) -> (u64, usize) {
 
 /// The NIC-thread collective engine for one rank.
 pub struct ThreadCollective {
-    members: Vec<NodeId>,
+    /// Rank → node, shared by every rank of the group.
+    members: Arc<[NodeId]>,
     schedule: Schedule,
     op: ThreadOp,
     /// Doorbells seen.
@@ -68,8 +70,10 @@ pub struct ThreadCollective {
 }
 
 impl ThreadCollective {
-    /// Build for `rank` of a group placed on `members`.
-    pub fn new(members: Vec<NodeId>, rank: usize, op: ThreadOp) -> Self {
+    /// Build for `rank` of a group placed on `members`. Pass every rank a
+    /// clone of one `Arc` to keep the build linear in the group size.
+    pub fn new(members: impl Into<Arc<[NodeId]>>, rank: usize, op: ThreadOp) -> Self {
+        let members = members.into();
         let n = members.len();
         if let ThreadOp::Allreduce { op } = op {
             assert!(
@@ -177,7 +181,7 @@ impl ElanThread for ThreadCollective {
 /// Benchmark app driving consecutive thread-based collectives.
 pub struct ElanThreadApp {
     iters: u64,
-    done: u64,
+    skew_us: f64,
     /// Contribution per epoch (allreduce operand; ignored for barrier).
     contributions: Vec<u64>,
     /// Measurements.
@@ -185,32 +189,46 @@ pub struct ElanThreadApp {
 }
 
 impl ElanThreadApp {
-    /// Run `iters` operations; `contributions[e]` is this rank's operand in
-    /// epoch `e` (pass zeros for a barrier).
-    pub fn new(contributions: Vec<u64>) -> Self {
+    /// Run one operation per entry of `contributions`, where
+    /// `contributions[e]` is this rank's operand in epoch `e` (pass zeros
+    /// for a barrier), computing for up to `skew_us` between operations.
+    pub fn new(contributions: Vec<u64>, skew_us: f64) -> Self {
+        let iters = contributions.len() as u64;
         ElanThreadApp {
-            iters: contributions.len() as u64,
-            done: 0,
+            iters,
+            skew_us,
             contributions,
-            log: BarrierLog::default(),
+            log: BarrierLog::with_capacity(iters),
         }
+    }
+
+    fn enter(&mut self, api: &mut ElanApi<'_>) {
+        let next = usize::try_from(self.log.done()).expect("iteration count exceeds usize");
+        api.thread_doorbell(self.contributions[next]);
     }
 }
 
 impl ElanApp for ElanThreadApp {
     fn on_start(&mut self, api: &mut ElanApi<'_>) {
         if self.iters > 0 {
-            api.thread_doorbell(self.contributions[0]);
+            self.enter(api);
         }
     }
+
     fn on_coll_done(&mut self, api: &mut ElanApi<'_>, cookie: u64) {
         assert_eq!(cookie, THREAD_DONE_COOKIE);
-        self.done += 1;
-        self.log.completions.push(api.now());
-        if self.done < self.iters {
-            let next = usize::try_from(self.done).expect("iteration count exceeds usize");
-            api.thread_doorbell(self.contributions[next]);
+        match self
+            .log
+            .complete(api.now(), self.iters, self.skew_us, api.rng())
+        {
+            Reentry::Now => self.enter(api),
+            Reentry::After(delay) => api.set_timer(delay),
+            Reentry::Stop => {}
         }
+    }
+
+    fn on_timer(&mut self, api: &mut ElanApi<'_>) {
+        self.enter(api);
     }
 }
 

@@ -1,17 +1,19 @@
-//! GM applications: the host-based barrier baselines and the NIC-based
-//! barrier driver.
+//! GM host applications: the host-based barrier baselines and the
+//! extension-collective driver, plus the completion log and re-entry rule
+//! every closed-loop barrier app shares.
 //!
 //! The host-based barrier (the paper's `Host-DS` / `Host-PE` curves) runs
 //! the same schedules as the NIC-based protocol, but every message crosses
 //! the I/O bus twice and traverses the full point-to-point send path —
 //! token queues, packet claim, payload DMA, per-packet ACKs — with the host
-//! CPU dispatching every round. The NIC-based driver posts one doorbell per
-//! barrier and waits for the completion event.
+//! CPU dispatching every round. The NIC-based barrier apps of both
+//! substrates live in [`crate::contend`].
 
+use crate::contend::{BulkStream, TrafficCfg};
 use crate::schedule::{Algorithm, Schedule};
-use nicbar_gm::{GmApi, GmApp, GroupId, MsgTag};
+use nicbar_gm::{GmApi, GmApp, GroupId, MsgId, MsgTag, BULK_TAG};
 use nicbar_net::NodeId;
-use nicbar_sim::SimTime;
+use nicbar_sim::{SimRng, SimTime};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -50,7 +52,17 @@ pub type HostSends = Vec<(usize, usize)>;
 
 impl HostScheduleRunner {
     /// Build for one rank's schedule.
+    ///
+    /// # Panics
+    /// If a round expects more than 64 senders (the arrival bit vector is
+    /// one `u64`, as in the protocol engine).
     pub fn new(schedule: Schedule) -> Self {
+        for (r, plan) in schedule.rounds.iter().enumerate() {
+            assert!(
+                plan.recv_from.len() <= 64,
+                "round {r} expects more than 64 messages; widen the bit vector"
+            );
+        }
         HostScheduleRunner {
             schedule,
             entered: 0,
@@ -126,7 +138,11 @@ impl HostScheduleRunner {
         if expected == 0 {
             return true;
         }
-        let full = (1u64 << expected) - 1;
+        let full: u64 = if expected == 64 {
+            u64::MAX
+        } else {
+            (1u64 << expected) - 1
+        };
         self.banked
             .get(&(epoch, round))
             .map(|m| m & full == full)
@@ -164,6 +180,17 @@ pub struct BarrierLog {
     pub completions: Vec<SimTime>,
 }
 
+/// What a closed-loop app does after completing an epoch (paper §8).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Reentry {
+    /// Enter the next barrier at once (the paper's tight loop).
+    Now,
+    /// Compute for this long, then enter the next barrier (`on_timer`).
+    After(SimTime),
+    /// Every epoch is done.
+    Stop,
+}
+
 impl BarrierLog {
     /// A log with room for `iters` completions, so steady-state pushes
     /// never reallocate (the zero-allocation gate measures the run).
@@ -174,9 +201,37 @@ impl BarrierLog {
             ),
         }
     }
+
+    /// Epochs completed so far.
+    pub fn done(&self) -> u64 {
+        self.completions.len() as u64
+    }
+
+    /// Record an epoch completed at `now` and decide what follows — the
+    /// one re-entry rule of every closed-loop app: stop after `iters`
+    /// epochs, otherwise re-enter at once when `skew_us` is 0, or after a
+    /// compute phase drawn uniformly from `[0, skew_us)` µs off the host's
+    /// `rng`.
+    pub fn complete(
+        &mut self,
+        now: SimTime,
+        iters: u64,
+        skew_us: f64,
+        rng: &mut SimRng,
+    ) -> Reentry {
+        self.completions.push(now);
+        if self.done() >= iters {
+            Reentry::Stop
+        } else if skew_us > 0.0 {
+            Reentry::After(SimTime::from_us(rng.range_f64(0.0, skew_us)))
+        } else {
+            Reentry::Now
+        }
+    }
 }
 
-/// The host-based barrier benchmark application (`Host-DS` / `Host-PE`).
+/// The host-based barrier benchmark application (`Host-DS` / `Host-PE`),
+/// optionally with a bulk stream from its node to the next.
 pub struct HostBarrierApp {
     runner: HostScheduleRunner,
     /// Rank → node, shared by every rank of the group.
@@ -185,9 +240,9 @@ pub struct HostBarrierApp {
     /// Uniform random compute skew before re-entering (0 = tight loop, the
     /// paper's setup).
     skew_us: f64,
+    bulk: Option<Box<BulkStream>>,
     /// Measurements.
     pub log: BarrierLog,
-    pending_enter: bool,
 }
 
 impl HostBarrierApp {
@@ -208,13 +263,27 @@ impl HostBarrierApp {
             members,
             iters,
             skew_us,
+            bulk: None,
             log: BarrierLog::with_capacity(iters),
-            pending_enter: false,
         }
     }
 
+    /// The same app streaming `traffic` alongside the barrier loop. The
+    /// stream is node-based: it goes from this rank's node to the next
+    /// node, whatever the rank placement.
+    pub fn with_traffic(self, traffic: TrafficCfg) -> Self {
+        let node = self.members[self.runner.schedule.rank].0;
+        let bulk = BulkStream::new(node, self.members.len(), traffic);
+        HostBarrierApp { bulk, ..self }
+    }
+
+    fn enter(&mut self, api: &mut GmApi<'_>) {
+        let (sends, done) = self.runner.begin();
+        self.issue(api, sends, done);
+    }
+
     fn issue(&mut self, api: &mut GmApi<'_>, sends: HostSends, done: bool) {
-        let epoch = self.runner.entered - 1;
+        let epoch = self.runner.current_epoch();
         for (dst_rank, round) in sends {
             api.send(
                 self.members[dst_rank],
@@ -222,92 +291,46 @@ impl HostBarrierApp {
                 encode_tag(epoch, round),
             );
         }
-        if done {
-            self.log.completions.push(api.now());
-            if self.runner.completed() < self.iters {
-                if self.skew_us > 0.0 {
-                    let d = api.rng().range_f64(0.0, self.skew_us);
-                    self.pending_enter = true;
-                    api.set_timer(SimTime::from_us(d));
-                } else {
-                    let (s, d) = self.runner.begin();
-                    self.issue(api, s, d);
-                }
-            }
+        if !done {
+            return;
+        }
+        match self
+            .log
+            .complete(api.now(), self.iters, self.skew_us, api.rng())
+        {
+            Reentry::Now => self.enter(api),
+            Reentry::After(delay) => api.set_timer(delay),
+            Reentry::Stop => {}
         }
     }
 }
 
 impl GmApp for HostBarrierApp {
     fn on_start(&mut self, api: &mut GmApi<'_>) {
-        let (sends, done) = self.runner.begin();
-        self.issue(api, sends, done);
+        if let Some(bulk) = &mut self.bulk {
+            bulk.start_gm(api);
+        }
+        self.enter(api);
     }
 
     fn on_recv(&mut self, api: &mut GmApi<'_>, src: NodeId, tag: MsgTag, _len: u32) {
+        if tag == BULK_TAG {
+            return;
+        }
         let (epoch, round) = decode_tag(tag);
         let (sends, done) = self.runner.on_msg(epoch, round, &self.members, src);
         self.issue(api, sends, done);
     }
 
-    fn on_timer(&mut self, api: &mut GmApi<'_>) {
-        if self.pending_enter {
-            self.pending_enter = false;
-            let (s, d) = self.runner.begin();
-            self.issue(api, s, d);
-        }
-    }
-}
-
-/// The NIC-based barrier benchmark application: one doorbell per barrier.
-pub struct NicBarrierApp {
-    group: GroupId,
-    iters: u64,
-    skew_us: f64,
-    /// Measurements.
-    pub log: BarrierLog,
-    done: u64,
-}
-
-impl NicBarrierApp {
-    /// Run `iters` consecutive NIC-based barriers on `group`.
-    pub fn new(group: GroupId, iters: u64, skew_us: f64) -> Self {
-        NicBarrierApp {
-            group,
-            iters,
-            skew_us,
-            log: BarrierLog::with_capacity(iters),
-            done: 0,
-        }
-    }
-}
-
-impl GmApp for NicBarrierApp {
-    fn on_start(&mut self, api: &mut GmApi<'_>) {
-        api.collective(self.group, 0);
-    }
-
-    fn on_recv(&mut self, _api: &mut GmApi<'_>, _src: NodeId, _tag: MsgTag, _len: u32) {
-        panic!("NIC-barrier app received a point-to-point message");
-    }
-
-    fn on_coll_done(&mut self, api: &mut GmApi<'_>, group: GroupId, epoch: u64, _value: u64) {
-        assert_eq!(group, self.group);
-        assert_eq!(epoch, self.done, "completions out of order");
-        self.done += 1;
-        self.log.completions.push(api.now());
-        if self.done < self.iters {
-            if self.skew_us > 0.0 {
-                let d = api.rng().range_f64(0.0, self.skew_us);
-                api.set_timer(SimTime::from_us(d));
-            } else {
-                api.collective(self.group, 0);
-            }
+    fn on_send_done(&mut self, api: &mut GmApi<'_>, msg_id: MsgId) {
+        let live = self.log.done() < self.iters;
+        if let Some(bulk) = &mut self.bulk {
+            bulk.on_send_done(api, msg_id, live);
         }
     }
 
     fn on_timer(&mut self, api: &mut GmApi<'_>) {
-        api.collective(self.group, 0);
+        self.enter(api);
     }
 }
 
@@ -425,6 +448,32 @@ mod tests {
         let mut r = HostScheduleRunner::new(Schedule::dissemination(4, 0));
         let _ = r.begin();
         let _ = r.on_msg(0, 0, &nodes(4), NodeId(1));
+    }
+
+    #[test]
+    fn runner_waits_for_all_64_senders() {
+        // The root of a 64-ary gather-broadcast over 65 ranks hears from
+        // all 64 children in round 0 before it releases the broadcast.
+        let n = 65;
+        let mut r = HostScheduleRunner::new(Schedule::gather_broadcast(n, 0, 64));
+        let (sends, done) = r.begin();
+        assert!(sends.is_empty() && !done);
+        for child in 1..n {
+            let (sends, done) = r.on_msg(0, 0, &nodes(n), NodeId(child));
+            if child < 64 {
+                assert!(sends.is_empty() && !done, "released after {child} of 64");
+            } else {
+                assert_eq!(sends.len(), 64, "broadcast to every child");
+                assert!(done);
+            }
+        }
+        assert_eq!(r.completed(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "round 0 expects more than 64 messages; widen the bit vector")]
+    fn runner_rejects_65_senders() {
+        let _ = HostScheduleRunner::new(Schedule::gather_broadcast(66, 0, 65));
     }
 
     #[test]

@@ -15,9 +15,13 @@
 //!   (broadcast, allreduce, allgather).
 //! * [`elan_chain`] — §7's Quadrics lowering: schedules compiled to chained
 //!   RDMA descriptors and counting events, no NIC thread.
-//! * [`host_app`] / [`elan_apps`] — benchmark applications: host-based
-//!   baselines and NIC-based drivers for both networks, plus the Elanlib
-//!   `elan_gsync`/`elan_hgsync` comparators.
+//! * [`contend`] / [`host_app`] / [`elan_apps`] / [`elan_thread`] — the
+//!   closed-loop benchmark applications, one per entry mechanism: the
+//!   NIC-based barrier of each network (one or several groups, optionally
+//!   under a bulk stream), the host-based baseline (optionally under the
+//!   same stream), the Elanlib `elan_gsync`/`elan_hgsync` comparators and
+//!   the §7 NIC-thread collectives. They share one completion log and one
+//!   re-entry rule ([`host_app::BarrierLog::complete`]).
 //! * [`scenario`] — the measurement harness reproducing the paper's
 //!   methodology (§8): one plain [`Scenario`] value (barrier kind, N,
 //!   algorithm, [`RunCfg`], load) with one `build` → `drain` → `harvest`
@@ -25,8 +29,6 @@
 //!   optional random node permutation, barrier safety checked every run.
 //! * [`driver`] — [`RunCfg`], [`BarrierStats`], [`FlightData`] and the
 //!   one-line entry points over [`Scenario`] that external benchmarks call.
-//! * [`traffic`] / [`contend`] — the apps of the loaded scenarios: a
-//!   barrier under a bulk stream, and overlapping groups under one.
 
 #![warn(missing_docs)]
 
@@ -39,9 +41,8 @@ pub mod host_app;
 pub mod protocol;
 pub mod scenario;
 pub mod schedule;
-pub mod traffic;
 
-pub use contend::CONTEND_GROUP_BASE;
+pub use contend::{TrafficCfg, CONTEND_GROUP_BASE};
 pub use driver::{
     build_elan_nic_cluster, build_gm_nic_cluster, elan_contend_flight, elan_gsync_barrier,
     elan_nic_barrier, elan_nic_stats, gm_contend_flight, gm_host_barrier, gm_nic_barrier,
@@ -51,4 +52,3 @@ pub use elan_thread::{thread_results, ThreadOp};
 pub use protocol::{GroupOp, GroupSpec, PaperCollective, ReduceOp};
 pub use scenario::{Barrier, Cluster, Load, Scenario};
 pub use schedule::{ceil_log2, floor_log2, schedules_for, Algorithm, RoundPlan, Schedule};
-pub use traffic::TrafficCfg;

@@ -10,15 +10,17 @@
 //! `cfg.members(n)[r]`. Bulk traffic is node-based — node `v` streams to
 //! node `v + 1` — whatever the rank placement.
 
-use crate::contend::{ElanContendApp, GmContendApp, CONTEND_GROUP_BASE};
+use crate::contend::{ElanContendApp, GmContendApp, TrafficCfg, CONTEND_GROUP_BASE};
 use crate::driver::{BarrierStats, FlightData, RunCfg, BARRIER_GROUP};
-use crate::elan_apps::{ElanGsyncApp, ElanHwBarrierApp, ElanNicBarrierApp};
-use crate::elan_chain::{build_chains, build_chains_multi, chain_done_cookie, GroupChain};
+use crate::elan_apps::{ElanGsyncApp, ElanHwBarrierApp};
+use crate::elan_chain::{
+    build_chains, build_chains_multi, chain_done_cookie, GroupChain, CHAIN_DONE_COOKIE, ENTRY_EVENT,
+};
 use crate::elan_thread::{ElanThreadApp, ThreadCollective, ThreadOp};
-use crate::host_app::{BarrierLog, HostBarrierApp, NicBarrierApp};
+use crate::host_app::{BarrierLog, HostBarrierApp};
 use crate::protocol::{GroupSpec, PaperCollective};
 use crate::schedule::Algorithm;
-use crate::traffic::{BarrierUnderTrafficApp, TrafficCfg};
+use nicbar_elan::host::ELAN_SPAN_GROUP;
 use nicbar_elan::{ElanApp, ElanCluster, ElanClusterSpec, ElanNic, ElanParams, EventId};
 use nicbar_gm::{CollFeatures, GmApp, GmCluster, GmClusterSpec, GmParams, GroupId, NicCollective};
 use nicbar_net::NodeId;
@@ -74,7 +76,8 @@ pub enum Barrier {
     },
 }
 
-/// What runs alongside the barrier.
+/// What runs alongside the barrier. Whether a rank streams bulk traffic
+/// comes from here alone: [`Load::traffic`].
 #[derive(Clone, Copy, Debug)]
 pub enum Load {
     /// Nothing: consecutive barriers in the paper's tight loop.
@@ -90,6 +93,17 @@ pub enum Load {
         /// The bulk stream.
         traffic: TrafficCfg,
     },
+}
+
+impl Load {
+    /// The bulk stream every node keeps in flight under this load
+    /// ([`TrafficCfg::NONE`] for a plain barrier).
+    pub fn traffic(&self) -> TrafficCfg {
+        match *self {
+            Load::Barrier => TrafficCfg::NONE,
+            Load::UnderTraffic(traffic) | Load::Contend { traffic, .. } => traffic,
+        }
+    }
 }
 
 /// A barrier benchmark, as data.
@@ -260,38 +274,27 @@ impl Scenario {
         // One shared membership list for every rank: at 65,536 nodes a
         // per-rank copy would be 34 GB.
         let members: Arc<[NodeId]> = self.cfg.members(n).into();
+        let traffic = self.load.traffic();
         let groups = match self.load {
             Load::Contend { groups, .. } => {
                 assert!(groups >= 1, "need at least one group");
-                groups
+                Some(groups)
             }
-            _ => 1,
+            _ => None,
         };
         match (&self.barrier, self.load) {
-            (Barrier::GmNic { params, features }, load) => {
-                let gids: Vec<GroupId> = match load {
-                    Load::Contend { .. } => (0..groups)
+            (Barrier::GmNic { params, features }, _) => {
+                let gids: Arc<[GroupId]> = match groups {
+                    Some(groups) => (0..groups)
                         .map(|g| {
                             GroupId(CONTEND_GROUP_BASE + u32::try_from(g).expect("group count"))
                         })
                         .collect(),
-                    _ => vec![BARRIER_GROUP],
+                    None => Arc::new([BARRIER_GROUP]),
                 };
                 let apps = place(&members, |_, node| -> Box<dyn GmApp> {
-                    match load {
-                        Load::Barrier => Box::new(NicBarrierApp::new(BARRIER_GROUP, total, skew)),
-                        Load::UnderTraffic(t) => {
-                            Box::new(BarrierUnderTrafficApp::nic(node.0, n, total, t))
-                        }
-                        Load::Contend { traffic, .. } => Box::new(GmContendApp::new(
-                            gids.clone(),
-                            node.0,
-                            n,
-                            total,
-                            skew,
-                            traffic,
-                        )),
-                    }
+                    let gids = Arc::clone(&gids);
+                    Box::new(GmContendApp::new(gids, node.0, n, total, skew, traffic))
                 });
                 let timeout = params.coll_timeout;
                 let colls = place(&members, |rank, node| -> Box<dyn NicCollective> {
@@ -307,63 +310,54 @@ impl Scenario {
             (Barrier::GmHost { params }, Load::Barrier | Load::UnderTraffic(_)) => {
                 let apps = place(&members, |rank, _| -> Box<dyn GmApp> {
                     let members = Arc::clone(&members);
-                    match self.load {
-                        Load::UnderTraffic(t) => {
-                            Box::new(BarrierUnderTrafficApp::host(algo, members, rank, total, t))
-                        }
-                        _ => Box::new(HostBarrierApp::new(algo, members, rank, total, skew)),
-                    }
+                    Box::new(
+                        HostBarrierApp::new(algo, members, rank, total, skew).with_traffic(traffic),
+                    )
                 });
                 Cluster::Gm(GmCluster::build_p2p(self.gm_spec(params), apps))
             }
-            (Barrier::ElanNic { params }, Load::Barrier) => {
-                let mut chains = build_chains(algo, &members);
-                let programs = place(&members, |rank, _| std::mem::take(&mut chains[rank]));
-                let apps = place(&members, |_, _| -> Box<dyn ElanApp> {
-                    Box::new(ElanNicBarrierApp::new(total, skew))
+            (Barrier::ElanNic { params }, Load::Barrier | Load::Contend { .. }) => {
+                // Per node: its NIC program and its `(group, entry event)`
+                // list; plus the completion cookies every rank expects.
+                type Entries = Arc<[(u64, EventId)]>;
+                let (programs, entries, cookies): (_, Vec<Entries>, HashSet<u64>) = match groups {
+                    None => {
+                        let mut chains = build_chains(algo, &members);
+                        let programs = place(&members, |rank, _| std::mem::take(&mut chains[rank]));
+                        let entry: Entries = Arc::new([(ELAN_SPAN_GROUP, ENTRY_EVENT)]);
+                        (programs, vec![entry; n], HashSet::from([CHAIN_DONE_COOKIE]))
+                    }
+                    Some(groups) => {
+                        let chains: Vec<GroupChain> = (0..groups)
+                            .map(|g| GroupChain {
+                                group: u64::from(CONTEND_GROUP_BASE) + g as u64,
+                                algo,
+                                members: members.to_vec(),
+                            })
+                            .collect();
+                        let multi = build_chains_multi(n, &chains);
+                        let entries = multi
+                            .entry
+                            .iter()
+                            .map(|e| e.iter().map(|(&g, &ev)| (g, ev)).collect())
+                            .collect();
+                        let cookies = (0..groups as u64).map(chain_done_cookie).collect();
+                        (multi.programs, entries, cookies)
+                    }
+                };
+                let cookies = Arc::new(cookies);
+                let apps = place(&members, |_, node| -> Box<dyn ElanApp> {
+                    let (entries, cookies) = (Arc::clone(&entries[node.0]), Arc::clone(&cookies));
+                    Box::new(ElanContendApp::new(
+                        entries, cookies, node.0, n, total, skew, traffic,
+                    ))
                 });
                 Cluster::Elan(ElanCluster::build(self.elan_spec(params), apps, programs))
             }
-            (Barrier::ElanNic { params }, Load::Contend { traffic, .. }) => {
-                let chains: Vec<GroupChain> = (0..groups)
-                    .map(|g| GroupChain {
-                        group: u64::from(CONTEND_GROUP_BASE) + g as u64,
-                        algo,
-                        members: members.to_vec(),
-                    })
-                    .collect();
-                let multi = build_chains_multi(n, &chains);
-                let cookies: HashSet<u64> = (0..groups as u64).map(chain_done_cookie).collect();
-                let apps = place(&members, |_, node| -> Box<dyn ElanApp> {
-                    let entries: Vec<(u64, EventId)> = multi.entry[node.0]
-                        .iter()
-                        .map(|(&g, &ev)| (g, ev))
-                        .collect();
-                    Box::new(ElanContendApp::new(
-                        entries,
-                        cookies.clone(),
-                        node.0,
-                        n,
-                        total,
-                        skew,
-                        traffic,
-                    ))
-                });
-                Cluster::Elan(ElanCluster::build(
-                    self.elan_spec(params),
-                    apps,
-                    multi.programs,
-                ))
-            }
             (Barrier::ElanGsync { params, degree }, Load::Barrier) => {
                 let apps = place(&members, |rank, _| -> Box<dyn ElanApp> {
-                    Box::new(ElanGsyncApp::new(
-                        rank,
-                        members.to_vec(),
-                        *degree,
-                        total,
-                        skew,
-                    ))
+                    let members = Arc::clone(&members);
+                    Box::new(ElanGsyncApp::new(rank, members, *degree, total, skew))
                 });
                 let programs = vec![Default::default(); n];
                 Cluster::Elan(ElanCluster::build(self.elan_spec(params), apps, programs))
@@ -385,14 +379,14 @@ impl Scenario {
             ) => {
                 let apps = place(&members, |rank, _| -> Box<dyn ElanApp> {
                     let contribs = (0..total).map(|e| contribution(rank, e)).collect();
-                    Box::new(ElanThreadApp::new(contribs))
+                    Box::new(ElanThreadApp::new(contribs, skew))
                 });
                 let programs = vec![Default::default(); n];
                 let mut cluster = ElanCluster::build(self.elan_spec(params), apps, programs);
                 // Install the thread handlers on each NIC (user-level thread
                 // creation).
                 for (rank, &node) in members.iter().enumerate() {
-                    let thread = ThreadCollective::new(members.to_vec(), rank, *op);
+                    let thread = ThreadCollective::new(Arc::clone(&members), rank, *op);
                     cluster
                         .engine
                         .component_mut::<ElanNic>(cluster.nics[node.0])
@@ -448,24 +442,14 @@ impl Scenario {
 
     /// Node `node`'s completion log, off whichever app the scenario built.
     fn log<'a>(&self, c: &'a Cluster, node: usize) -> &'a BarrierLog {
-        match (c, &self.barrier, self.load) {
-            (Cluster::Gm(g), _, Load::UnderTraffic(_)) => {
-                &g.app_ref::<BarrierUnderTrafficApp>(node).log
-            }
-            (Cluster::Gm(g), _, Load::Contend { .. }) => &g.app_ref::<GmContendApp>(node).log,
-            (Cluster::Gm(g), Barrier::GmHost { .. }, _) => &g.app_ref::<HostBarrierApp>(node).log,
-            (Cluster::Gm(g), _, _) => &g.app_ref::<NicBarrierApp>(node).log,
-            (Cluster::Elan(e), _, Load::Contend { .. }) => &e.app_ref::<ElanContendApp>(node).log,
-            (Cluster::Elan(e), Barrier::ElanGsync { .. }, _) => {
-                &e.app_ref::<ElanGsyncApp>(node).log
-            }
-            (Cluster::Elan(e), Barrier::ElanHw { .. }, _) => {
-                &e.app_ref::<ElanHwBarrierApp>(node).log
-            }
-            (Cluster::Elan(e), Barrier::ElanThread { .. }, _) => {
-                &e.app_ref::<ElanThreadApp>(node).log
-            }
-            (Cluster::Elan(e), _, _) => &e.app_ref::<ElanNicBarrierApp>(node).log,
+        match (c, &self.barrier) {
+            (Cluster::Gm(g), Barrier::GmNic { .. }) => &g.app_ref::<GmContendApp>(node).log,
+            (Cluster::Gm(g), Barrier::GmHost { .. }) => &g.app_ref::<HostBarrierApp>(node).log,
+            (Cluster::Elan(e), Barrier::ElanNic { .. }) => &e.app_ref::<ElanContendApp>(node).log,
+            (Cluster::Elan(e), Barrier::ElanGsync { .. }) => &e.app_ref::<ElanGsyncApp>(node).log,
+            (Cluster::Elan(e), Barrier::ElanHw { .. }) => &e.app_ref::<ElanHwBarrierApp>(node).log,
+            (Cluster::Elan(e), Barrier::ElanThread { .. }) => &e.app_ref::<ElanThreadApp>(node).log,
+            _ => unreachable!("a scenario builds its barrier's substrate"),
         }
     }
 

@@ -138,3 +138,63 @@ fn thread_runs_are_deterministic() {
     let b = thread_barrier(8, cfg());
     assert_eq!(a.mean_us, b.mean_us);
 }
+
+/// 4 warm-up and 32 measured epochs on 8 nodes, seed 42, no skew.
+fn pin_cfg() -> RunCfg {
+    RunCfg {
+        warmup: 4,
+        iters: 32,
+        ..RunCfg::default()
+    }
+}
+
+#[test]
+fn elan_comparator_outputs_are_pinned() {
+    // (mean_us, wire_per_barrier), bit-exact.
+    let hw = Scenario::new(
+        Barrier::ElanHw {
+            params: ElanParams::elan3(),
+        },
+        8,
+        Algorithm::Dissemination,
+        pin_cfg(),
+    )
+    .run();
+    assert_eq!(
+        (hw.mean_us, hw.wire_per_barrier),
+        (4.2, 0.0),
+        "hardware barrier"
+    );
+    let barrier = thread_barrier(8, pin_cfg());
+    assert_eq!(
+        (barrier.mean_us, barrier.wire_per_barrier),
+        (7.76, 24.0),
+        "thread barrier"
+    );
+    let (reduce, _) = allreduce(8, pin_cfg(), ReduceOp::Sum, |rank, epoch| {
+        (rank as u64 + 1) * (epoch + 1)
+    });
+    assert_eq!(
+        (reduce.mean_us, reduce.wire_per_barrier),
+        (7.76, 24.0),
+        "thread allreduce"
+    );
+}
+
+#[test]
+fn skew_slows_the_thread_barrier() {
+    let run = |skew_us: f64| {
+        let cfg = RunCfg {
+            warmup: 2,
+            iters: 20,
+            skew_us,
+            ..RunCfg::default()
+        };
+        thread_barrier(8, cfg).mean_us
+    };
+    let (tight, skewed) = (run(0.0), run(20.0));
+    assert!(
+        skewed > tight,
+        "skew 20 µs reads {skewed} µs, skew 0 reads {tight} µs"
+    );
+}

@@ -103,3 +103,73 @@ fn traffic_runs_are_deterministic() {
     let run = || under_traffic(nic(CollFeatures::paper()), 8).mean_us;
     assert_eq!(run(), run());
 }
+
+/// `barrier` on 8 nodes with `outstanding` bulk messages in flight per
+/// process: 4 warm-up and 32 measured epochs, seed 42, no skew.
+fn pinned_run(barrier: Barrier, outstanding: u32) -> BarrierStats {
+    let cfg = RunCfg {
+        warmup: 4,
+        iters: 32,
+        ..RunCfg::default()
+    };
+    let traffic = TrafficCfg {
+        msg_bytes: 4096,
+        outstanding,
+    };
+    Scenario::new(barrier, 8, Algorithm::Dissemination, cfg)
+        .with_load(Load::UnderTraffic(traffic))
+        .run()
+}
+
+#[test]
+fn under_traffic_outputs_are_pinned() {
+    // (mode, in flight, mean_us, wire_per_barrier), bit-exact. With nothing
+    // in flight a loaded run equals the plain barrier.
+    let cases = [
+        ("paper", 0, 13.9, 24.0),
+        ("paper", 4, 24.251375, 58.22222222222222),
+        ("direct", 0, 22.43, 48.0),
+        ("direct", 4, 43.18875, 102.22222222222223),
+        ("host", 0, 35.454, 48.0),
+        ("host", 4, 102.552, 196.22222222222223),
+    ];
+    for (mode, outstanding, mean_us, wire) in cases {
+        let barrier = match mode {
+            "paper" => nic(CollFeatures::paper()),
+            "direct" => nic(CollFeatures::direct()),
+            _ => host(),
+        };
+        let s = pinned_run(barrier, outstanding);
+        assert_eq!(
+            (s.mean_us, s.wire_per_barrier),
+            (mean_us, wire),
+            "{mode} with {outstanding} in flight"
+        );
+    }
+}
+
+#[test]
+fn skew_slows_the_loaded_barriers() {
+    // A compute phase of up to 20 µs between barriers must show in the
+    // loaded NIC and host barriers, as it does in the plain ones.
+    let run = |barrier: Barrier, skew_us: f64| {
+        let cfg = RunCfg {
+            warmup: 2,
+            iters: 20,
+            skew_us,
+            ..RunCfg::default()
+        };
+        Scenario::new(barrier, 8, Algorithm::Dissemination, cfg)
+            .with_load(Load::UnderTraffic(TrafficCfg::default()))
+            .run()
+            .mean_us
+    };
+    for (mode, barrier) in [("NIC", nic(CollFeatures::paper())), ("host", host())] {
+        let tight = run(barrier.clone(), 0.0);
+        let skewed = run(barrier, 20.0);
+        assert!(
+            skewed > tight,
+            "{mode} under traffic: skew 20 µs reads {skewed} µs, skew 0 reads {tight} µs"
+        );
+    }
+}

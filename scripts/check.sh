@@ -9,7 +9,10 @@
 # gate does not stop the script: every later gate still runs, the summary
 # marks the failure FAILED, and the script exits non-zero at the end. A
 # gate the host cannot run goes through `skip_gate` instead, so the summary
-# lists it as SKIPPED with its reason rather than leaving it out.
+# lists it as SKIPPED with its reason rather than leaving it out. Every
+# invocation appends one run to the BENCH_check.json trajectory: git rev,
+# host threads, total wall seconds, and each gate's name, seconds and
+# status (ok, FAILED or SKIPPED).
 #
 # Bench commands all run through the one front end, `cargo run --release
 # -q -p nicbar-bench -- <command> [flags]`. CI runs why-slow (smoke and
@@ -22,9 +25,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+CHECK_T0=$(date +%s%N)
 GATE_NAMES=()
 GATE_SECS=()
 GATE_NOTES=()
+GATE_STATUS=()
 FAILED_GATES=()
 gate() {
     local name="$1"
@@ -43,8 +48,10 @@ gate() {
     GATE_SECS+=("$(printf '%d.%03ds' $(((t1 - t0) / 1000000000)) $(((t1 - t0) / 1000000 % 1000)))")
     if [ "$status" -eq 0 ]; then
         GATE_NOTES+=("")
+        GATE_STATUS+=("ok")
     else
         GATE_NOTES+=("  FAILED (exit $status)")
+        GATE_STATUS+=("FAILED")
         FAILED_GATES+=("$name")
         echo "check.sh: gate $name FAILED (exit $status); continuing" >&2
     fi
@@ -53,6 +60,7 @@ skip_gate() {
     GATE_NAMES+=("$1")
     GATE_SECS+=("-")
     GATE_NOTES+=("  SKIPPED ($2)")
+    GATE_STATUS+=("SKIPPED")
     echo "check.sh: skipping $1: $2"
 }
 
@@ -201,6 +209,7 @@ else
     GATE_NAMES+=("fig-scale-speedup")
     GATE_SECS+=("-")
     GATE_NOTES+=("  (asserted inside fig-scale-smoke)")
+    GATE_STATUS+=("ok")
 fi
 rm -f "$fig_scale_log"
 
@@ -272,6 +281,39 @@ contend_gate() {
     echo "check.sh: contend trajectory OK (runs: $runs_after)"
 }
 gate "contend-smoke" contend_gate
+
+# Append this run to BENCH_check.json, one run per line so the file stays
+# diffable and the append needs no JSON parser. Gates without a time of
+# their own (SKIPPED, or asserted inside another gate) record null seconds.
+# The history keeps the newest 64 runs, like the other BENCH_* files.
+record_check_run() {
+    local file=BENCH_check.json rev total_ns gates="" i secs run
+    rev=$(git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
+    total_ns=$(($(date +%s%N) - CHECK_T0))
+    for i in "${!GATE_NAMES[@]}"; do
+        secs=${GATE_SECS[$i]%s}
+        [ "$secs" = "-" ] && secs=null
+        gates+="${gates:+, }{\"name\": \"${GATE_NAMES[$i]}\", \"seconds\": $secs, \"status\": \"${GATE_STATUS[$i]}\"}"
+    done
+    run=$(printf '{"manifest": {"schema": 2, "git_rev": "%s", "host_threads": %s}, "total_s": %d.%03d, "gates": [%s]}' \
+        "$rev" "$host_threads" $((total_ns / 1000000000)) $((total_ns / 1000000 % 1000)) "$gates")
+    local runs=()
+    if [ -f "$file" ]; then
+        mapfile -t runs < <(grep '^    {"manifest"' "$file" | sed -e 's/^ *//' -e 's/,$//')
+    fi
+    runs+=("$run")
+    if [ "${#runs[@]}" -gt 64 ]; then
+        runs=("${runs[@]: -64}")
+    fi
+    {
+        printf '{\n  "bench": "check",\n  "runs": [\n'
+        for i in "${!runs[@]}"; do
+            printf '    %s%s\n' "${runs[$i]}" "$([ "$i" -lt $((${#runs[@]} - 1)) ] && echo ,)"
+        done
+        printf '  ]\n}\n'
+    } > "$file"
+}
+record_check_run
 
 echo ""
 echo "check.sh: per-gate wall time"
