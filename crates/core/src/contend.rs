@@ -5,7 +5,7 @@
 //! transmission of the next message until the corresponding request gets
 //! its turn in the relevant queues. This imposes unnecessary delays into
 //! the barrier operations." That delay only exists when something *else*
-//! occupies the queues, so a rank may keep a [`BulkStream`] of
+//! occupies the queues, so a rank may keep a bulk stream of
 //! `outstanding` large messages in flight to its ring neighbour while it
 //! runs the barrier loop. With the paper's dedicated group queue the
 //! barrier messages bypass the congested destination queues; under the
@@ -23,8 +23,8 @@
 //! `contend` command reports.
 //!
 //! A plain barrier is one group with no stream:
-//! [`Scenario`](crate::scenario::Scenario) builds these apps under every
-//! [`Load`](crate::scenario::Load) of `GmNic` and `ElanNic`.
+//! [`Scenario`](crate::scenario::Scenario) builds these apps for `GmNic`
+//! and `ElanNic` under every [`Load`](crate::scenario::Load) each accepts.
 
 use crate::host_app::{BarrierLog, Reentry};
 use nicbar_elan::{ElanApi, ElanApp, EventId, TportTag, BULK_TPORT_TAG};
