@@ -177,13 +177,28 @@ pub fn append_run_at(path: &std::path::Path, bench: &str, run_body: &str) -> std
     out.push_str(bench);
     out.push_str("\",\n  \"runs\": [\n");
     for (i, run) in runs.iter().enumerate() {
-        for line in run.trim().lines() {
+        // A retained run comes back with its first line bare (the scan
+        // starts at its `{`) and every later line still carrying the
+        // previous write's indent. Strip that common indent so every run
+        // sits at the same fixed depth however often it is re-appended.
+        let mut lines = run.trim().lines();
+        let first = lines.next().unwrap_or_default();
+        let rest: Vec<&str> = lines.collect();
+        let indent = rest
+            .iter()
+            .filter(|l| !l.trim().is_empty())
+            .map(|l| l.len() - l.trim_start().len())
+            .min()
+            .unwrap_or(0);
+        out.push_str("    ");
+        out.push_str(first);
+        out.push('\n');
+        for line in rest {
             out.push_str("    ");
-            out.push_str(line);
+            out.push_str(line.get(indent..).unwrap_or_else(|| line.trim_start()));
             out.push('\n');
         }
-        // The indenter re-normalizes each retained run, so re-appending is
-        // idempotent in shape; only the trailing comma distinguishes runs.
+        // Only the trailing comma distinguishes runs.
         if i + 1 < runs.len() {
             out.truncate(out.trim_end().len());
             out.push_str(",\n");
@@ -288,6 +303,31 @@ mod tests {
         let final_runs = extract_runs(&std::fs::read_to_string(&path).unwrap());
         assert_eq!(final_runs.len(), MAX_RUNS);
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn re_appending_keeps_every_run_at_a_fixed_indent() {
+        let dir = std::env::temp_dir().join(format!("nicbar_traj_indent_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_t.json");
+        std::fs::remove_file(&path).ok();
+        let m = Manifest::new(5, "indent test");
+        let body = run_json(&[("X", vec![point(2, &stats(&[1.0, 2.0]))])], &m);
+        let deepest = |text: &str| {
+            let indents = text.lines().map(|l| l.len() - l.trim_start().len());
+            indents.max().unwrap_or(0)
+        };
+        append_run_at(&path, "t", &body).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (once, depth) = (extract_runs(&text), deepest(&text));
+        append_run_at(&path, "t", &body).unwrap();
+        append_run_at(&path, "t", &body).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let thrice = extract_runs(&text);
+        assert_eq!(thrice.len(), 3);
+        assert_eq!(thrice[0], once[0], "the first run moved on re-append");
+        assert_eq!(deepest(&text), depth, "re-appends deepened the indent");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,6 +1,6 @@
 //! The benchmark driver's types — run configuration, statistics and the
 //! flight capture — and the thin entry points kept over
-//! [`Scenario`](crate::scenario::Scenario), which implements the paper's
+//! [`Scenario`], which implements the paper's
 //! methodology (warm-up iterations discarded, the average of the measured
 //! iterations reported, optional random node permutation).
 

@@ -9,17 +9,19 @@
 //! no data and compute nothing): NIC-side combining needs the thread
 //! processor.
 //!
-//! [`ThreadCollective`] runs the same dissemination round machinery as the
-//! GM engine, banked per `(epoch, round)` so consecutive operations
-//! overlap safely.
+//! [`ThreadCollective`] runs a dissemination schedule on the GM protocol
+//! engine's [`RoundFrontier`], each arrival carrying its sender's value, so
+//! consecutive operations overlap under the same one-epoch parity banking.
+//! What the thread adds is its accumulator. Its messages carry the host
+//! barrier's tag codec ([`encode_tag`]).
 
-use crate::host_app::{BarrierLog, Reentry};
+use crate::host_app::{decode_tag, encode_tag, BarrierLog, Reentry};
 use crate::protocol::ReduceOp;
-use crate::schedule::Schedule;
+use crate::schedule::{Advance, Arrival, RoundFrontier, Schedule};
 use nicbar_elan::{ElanApi, ElanApp, ElanCluster, ElanNic, ElanThread, ThreadAction};
+use nicbar_gm::MsgTag;
 use nicbar_net::NodeId;
 use nicbar_sim::SimTime;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Completion cookie for thread-based collectives.
@@ -37,34 +39,14 @@ pub enum ThreadOp {
     },
 }
 
-fn encode(epoch: u64, round: usize) -> u32 {
-    assert!(epoch < (1 << 24), "epoch too large for tag");
-    assert!(round < 256, "round too large for tag");
-    let epoch = u32::try_from(epoch).expect("checked by the 24-bit assert above");
-    let round = u32::try_from(round).expect("checked by the 8-bit assert above");
-    (epoch << 8) | round
-}
-
-fn decode(tag: u32) -> (u64, usize) {
-    ((tag >> 8) as u64, (tag & 0xff) as usize)
-}
-
 /// The NIC-thread collective engine for one rank.
 pub struct ThreadCollective {
-    /// Rank → node, shared by every rank of the group.
-    members: Arc<[NodeId]>,
-    schedule: Schedule,
+    /// The rank's dissemination schedule over consecutive operations; an
+    /// arrival carries its sender's value.
+    frontier: RoundFrontier<u64>,
     op: ThreadOp,
-    /// Doorbells seen.
-    entered: u64,
-    /// Operations completed.
-    completed: u64,
     /// Accumulator of the live epoch.
     acc: u64,
-    /// Next round whose send has not been issued (live epoch).
-    next_send_round: usize,
-    /// Banked arrivals: (epoch, round) → value.
-    banked: BTreeMap<(u64, usize), u64>,
     /// Results per completed epoch (test observability).
     results: Vec<u64>,
 }
@@ -82,14 +64,9 @@ impl ThreadCollective {
             );
         }
         ThreadCollective {
-            members,
-            schedule: Schedule::dissemination(n, rank),
+            frontier: RoundFrontier::new(Schedule::dissemination(n, rank), members),
             op,
-            entered: 0,
-            completed: 0,
             acc: 0,
-            next_send_round: 0,
-            banked: BTreeMap::new(),
             results: Vec::new(),
         }
     }
@@ -99,81 +76,60 @@ impl ThreadCollective {
         &self.results
     }
 
-    fn live_epoch(&self) -> Option<u64> {
-        (self.entered > self.completed).then(|| self.entered - 1)
-    }
-
     fn progress(&mut self) -> Vec<ThreadAction> {
         let mut actions = Vec::new();
-        let Some(epoch) = self.live_epoch() else {
-            return actions;
-        };
         loop {
-            let r = self.next_send_round;
-            if r > 0 {
-                // Need the round r-1 arrival before advancing.
-                let Some(v) = self.banked.remove(&(epoch, r - 1)) else {
+            let (op, acc) = (self.op, &mut self.acc);
+            let step = self.frontier.advance(|v| {
+                if let ThreadOp::Allreduce { op } = op {
+                    *acc = op.combine(*acc, v);
+                }
+            });
+            match step {
+                Advance::Blocked => return actions,
+                Advance::Done { .. } => {
+                    self.results.push(match self.op {
+                        ThreadOp::Barrier => 0,
+                        ThreadOp::Allreduce { .. } => self.acc,
+                    });
+                    actions.push(ThreadAction::NotifyHost {
+                        cookie: THREAD_DONE_COOKIE,
+                        value: self.acc,
+                    });
                     return actions;
-                };
-                match self.op {
-                    ThreadOp::Barrier => {}
-                    ThreadOp::Allreduce { op } => self.acc = op.combine(self.acc, v),
+                }
+                Advance::Send { epoch, round } => {
+                    for &dst_rank in &self.frontier.schedule().rounds[round].sends {
+                        actions.push(ThreadAction::Send {
+                            dst: self.frontier.members()[dst_rank],
+                            tag: encode_tag(epoch, round).0,
+                            value: self.acc,
+                        });
+                    }
                 }
             }
-            if r == self.schedule.num_rounds() {
-                self.completed = epoch + 1;
-                self.results.push(match self.op {
-                    ThreadOp::Barrier => 0,
-                    ThreadOp::Allreduce { .. } => self.acc,
-                });
-                self.next_send_round = 0;
-                actions.push(ThreadAction::NotifyHost {
-                    cookie: THREAD_DONE_COOKIE,
-                    value: self.acc,
-                });
-                return actions;
-            }
-            for &dst_rank in &self.schedule.rounds[r].sends {
-                actions.push(ThreadAction::Send {
-                    dst: self.members[dst_rank],
-                    tag: encode(epoch, r),
-                    value: self.acc,
-                });
-            }
-            self.next_send_round = r + 1;
         }
     }
 }
 
 impl ElanThread for ThreadCollective {
     fn on_doorbell(&mut self, _now: SimTime, value: u64) -> Vec<ThreadAction> {
-        assert_eq!(
-            self.entered, self.completed,
-            "thread doorbell before the previous operation completed"
-        );
-        self.entered += 1;
+        self.frontier.enter();
         self.acc = match self.op {
             ThreadOp::Barrier => 0,
             ThreadOp::Allreduce { .. } => value,
         };
-        self.next_send_round = 0;
         self.progress()
     }
 
     fn on_msg(&mut self, _now: SimTime, src: NodeId, tag: u32, value: u64) -> Vec<ThreadAction> {
-        let (epoch, round) = decode(tag);
-        debug_assert!(
-            self.schedule
-                .sender_slot(round, &self.members, src)
-                .is_some(),
-            "thread message from an unexpected sender"
+        let (epoch, round) = decode_tag(MsgTag(tag));
+        let arrival = self.frontier.arrive(epoch, round, src, value);
+        debug_assert_eq!(
+            arrival,
+            Arrival::Banked,
+            "duplicate thread arrival (hw-reliable net)"
         );
-        debug_assert!(
-            epoch <= self.entered,
-            "thread arrival more than one epoch ahead"
-        );
-        let prev = self.banked.insert((epoch, round), value);
-        debug_assert!(prev.is_none(), "duplicate thread arrival (hw-reliable net)");
         self.progress()
     }
 }
@@ -259,18 +215,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tag_round_trip() {
-        let t = encode(99_999, 7);
-        assert_eq!(decode(t), (99_999, 7));
-    }
-
-    #[test]
     fn two_rank_thread_barrier_by_hand() {
         let members = vec![NodeId(0), NodeId(1)];
         let mut t0 = ThreadCollective::new(members.clone(), 0, ThreadOp::Barrier);
         let a = t0.on_doorbell(SimTime::ZERO, 0);
         assert_eq!(a.len(), 1, "round-0 send");
-        let a = t0.on_msg(SimTime::ZERO, NodeId(1), encode(0, 0), 0);
+        let a = t0.on_msg(SimTime::ZERO, NodeId(1), encode_tag(0, 0).0, 0);
         assert!(matches!(a[0], ThreadAction::NotifyHost { .. }));
         assert_eq!(t0.results(), &[0]);
     }
@@ -284,10 +234,10 @@ mod tests {
         let a = t.on_doorbell(SimTime::ZERO, 1);
         // Round-0 send carries own contribution.
         assert!(matches!(a[0], ThreadAction::Send { value: 1, .. }));
-        let a = t.on_msg(SimTime::ZERO, NodeId(3), encode(0, 0), 8);
+        let a = t.on_msg(SimTime::ZERO, NodeId(3), encode_tag(0, 0).0, 8);
         // Round-1 send carries 1+8.
         assert!(matches!(a[0], ThreadAction::Send { value: 9, .. }));
-        let a = t.on_msg(SimTime::ZERO, NodeId(2), encode(0, 1), 6);
+        let a = t.on_msg(SimTime::ZERO, NodeId(2), encode_tag(0, 1).0, 6);
         assert!(matches!(a[0], ThreadAction::NotifyHost { value: 15, .. }));
         assert_eq!(t.results(), &[15]);
     }
@@ -299,13 +249,13 @@ mod tests {
         // Epoch 0: our entry, then the peer's epoch-0 message completes it.
         let a = t.on_doorbell(SimTime::ZERO, 0);
         assert_eq!(a.len(), 1);
-        let a = t.on_msg(SimTime::ZERO, NodeId(1), encode(0, 0), 0);
+        let a = t.on_msg(SimTime::ZERO, NodeId(1), encode_tag(0, 0).0, 0);
         assert!(matches!(a[0], ThreadAction::NotifyHost { .. }));
         // The peer races into epoch 1 before our host re-enters: its message
         // must be banked (a peer can be at most one epoch ahead — it needed
         // our epoch-0 entry, which has happened).
         assert!(t
-            .on_msg(SimTime::ZERO, NodeId(1), encode(1, 0), 0)
+            .on_msg(SimTime::ZERO, NodeId(1), encode_tag(1, 0).0, 0)
             .is_empty());
         // Our epoch-1 doorbell releases send + immediate completion.
         let a = t.on_doorbell(SimTime::ZERO, 0);

@@ -6,22 +6,25 @@
 //! the same schedules as the NIC-based protocol, but every message crosses
 //! the I/O bus twice and traverses the full point-to-point send path —
 //! token queues, packet claim, payload DMA, per-packet ACKs — with the host
-//! CPU dispatching every round. The NIC-based barrier apps of both
-//! substrates live in [`crate::contend`].
+//! CPU dispatching every round. [`HostBarrierApp`] runs the protocol
+//! engine's [`RoundFrontier`] itself, with no payloads and no NACKs, and
+//! turns each round it releases into GM sends tagged by [`encode_tag`]. The
+//! NIC-based barrier apps of both substrates live in [`crate::contend`].
 
 use crate::contend::{BulkStream, TrafficCfg};
-use crate::schedule::{Algorithm, Schedule};
+use crate::schedule::{Advance, Algorithm, RoundFrontier, Schedule};
 use nicbar_gm::{GmApi, GmApp, GroupId, MsgId, MsgTag, BULK_TAG};
 use nicbar_net::NodeId;
 use nicbar_sim::{SimRng, SimTime};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Barrier message payload size (one integer, as in the paper).
 pub const BARRIER_MSG_BYTES: u32 = 4;
 
-/// Encode `(epoch, round)` into a GM tag. Epochs are bounded by the
-/// benchmark's iteration count, so 24 bits are ample.
+/// Encode `(epoch, round)` into a message tag: 24 bits of epoch over 8
+/// bits of round. The host barrier's GM messages and the Elan NIC thread's
+/// messages both carry it. Epochs are bounded by the benchmark's iteration
+/// count, so 24 bits are ample.
 pub fn encode_tag(epoch: u64, round: usize) -> MsgTag {
     assert!(epoch < (1 << 24), "epoch too large for tag encoding");
     assert!(round < 256, "round too large for tag encoding");
@@ -33,144 +36,6 @@ pub fn encode_tag(epoch: u64, round: usize) -> MsgTag {
 /// Decode a tag produced by [`encode_tag`].
 pub fn decode_tag(tag: MsgTag) -> (u64, usize) {
     ((tag.0 >> 8) as u64, (tag.0 & 0xff) as usize)
-}
-
-/// Host-side schedule executor: the same round-frontier rule as the NIC
-/// protocol engine, minus payloads and NACKs (GM's point-to-point layer
-/// already guarantees reliable ordered delivery to the host).
-pub struct HostScheduleRunner {
-    schedule: Schedule,
-    entered: u64,
-    completed: u64,
-    live: bool,
-    next_send_round: usize,
-    banked: BTreeMap<(u64, usize), u64>,
-}
-
-/// Sends requested by the runner: `(destination rank, round)`.
-pub type HostSends = Vec<(usize, usize)>;
-
-impl HostScheduleRunner {
-    /// Build for one rank's schedule.
-    ///
-    /// # Panics
-    /// If a round expects more than 64 senders (the arrival bit vector is
-    /// one `u64`, as in the protocol engine).
-    pub fn new(schedule: Schedule) -> Self {
-        for (r, plan) in schedule.rounds.iter().enumerate() {
-            assert!(
-                plan.recv_from.len() <= 64,
-                "round {r} expects more than 64 messages; widen the bit vector"
-            );
-        }
-        HostScheduleRunner {
-            schedule,
-            entered: 0,
-            completed: 0,
-            live: false,
-            next_send_round: 0,
-            banked: BTreeMap::new(),
-        }
-    }
-
-    /// Barriers completed so far.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Epoch of the most recently entered barrier (valid for tagging the
-    /// sends returned by the call that entered or progressed it).
-    ///
-    /// # Panics
-    /// Panics before the first [`HostScheduleRunner::begin`].
-    pub fn current_epoch(&self) -> u64 {
-        self.entered.checked_sub(1).expect("no barrier entered yet")
-    }
-
-    /// The rank's schedule.
-    pub fn schedule(&self) -> &Schedule {
-        &self.schedule
-    }
-
-    /// Enter the next barrier; returns the initially issuable sends.
-    /// The `bool` is true if the barrier completed immediately (trivial
-    /// schedules or fully banked arrivals).
-    pub fn begin(&mut self) -> (HostSends, bool) {
-        assert!(!self.live, "re-entered barrier before completion");
-        self.live = true;
-        self.next_send_round = 0;
-        self.entered += 1;
-        self.progress()
-    }
-
-    /// Feed an arrival from node `src`, resolved to its slot through the
-    /// round's expected senders and `members` (rank → node, rank order).
-    /// Returns newly issuable sends and whether the current barrier
-    /// completed.
-    ///
-    /// # Panics
-    /// If `src` is not an expected sender of `round`.
-    pub fn on_msg(
-        &mut self,
-        epoch: u64,
-        round: usize,
-        members: &[NodeId],
-        src: NodeId,
-    ) -> (HostSends, bool) {
-        let slot = self
-            .schedule
-            .sender_slot(round, members, src)
-            .unwrap_or_else(|| panic!("unexpected sender {src:?} in round {round}"));
-        let entry = self.banked.entry((epoch, round)).or_insert(0);
-        if *entry & (1 << slot) != 0 {
-            return (Vec::new(), false); // duplicate
-        }
-        *entry |= 1 << slot;
-        if self.live && epoch + 1 == self.entered {
-            self.progress()
-        } else {
-            (Vec::new(), false)
-        }
-    }
-
-    fn round_satisfied(&self, epoch: u64, round: usize) -> bool {
-        let expected = self.schedule.rounds[round].recv_from.len();
-        if expected == 0 {
-            return true;
-        }
-        let full: u64 = if expected == 64 {
-            u64::MAX
-        } else {
-            (1u64 << expected) - 1
-        };
-        self.banked
-            .get(&(epoch, round))
-            .map(|m| m & full == full)
-            .unwrap_or(false)
-    }
-
-    fn progress(&mut self) -> (HostSends, bool) {
-        let epoch = self.entered - 1;
-        let mut sends = Vec::new();
-        loop {
-            let r = self.next_send_round;
-            if r > 0 && !self.round_satisfied(epoch, r - 1) {
-                return (sends, false);
-            }
-            if r > 0 {
-                self.banked.remove(&(epoch, r - 1));
-            }
-            if r == self.schedule.num_rounds() {
-                self.live = false;
-                self.completed = epoch + 1;
-                return (sends, true);
-            }
-            for &dst in &self.schedule.rounds[r].sends {
-                sends.push((dst, r));
-            }
-            self.next_send_round = r + 1;
-        }
-    }
 }
 
 /// Shared measurement record for barrier benchmark apps.
@@ -233,9 +98,10 @@ impl BarrierLog {
 /// The host-based barrier benchmark application (`Host-DS` / `Host-PE`),
 /// optionally with a bulk stream from its node to the next.
 pub struct HostBarrierApp {
-    runner: HostScheduleRunner,
-    /// Rank → node, shared by every rank of the group.
-    members: Arc<[NodeId]>,
+    /// The rank's schedule run over consecutive epochs. GM's
+    /// point-to-point layer already delivers reliably and in order, so a
+    /// message carries nothing but its tag, and no NACKs are needed.
+    frontier: RoundFrontier<()>,
     iters: u64,
     /// Uniform random compute skew before re-entering (0 = tight loop, the
     /// paper's setup).
@@ -259,8 +125,7 @@ impl HostBarrierApp {
         let members = members.into();
         let schedule = Schedule::for_algorithm(algo, members.len(), rank);
         HostBarrierApp {
-            runner: HostScheduleRunner::new(schedule),
-            members,
+            frontier: RoundFrontier::new(schedule, members),
             iters,
             skew_us,
             bulk: None,
@@ -272,35 +137,45 @@ impl HostBarrierApp {
     /// stream is node-based: it goes from this rank's node to the next
     /// node, whatever the rank placement.
     pub fn with_traffic(self, traffic: TrafficCfg) -> Self {
-        let node = self.members[self.runner.schedule.rank].0;
-        let bulk = BulkStream::new(node, self.members.len(), traffic);
+        let members = self.frontier.members();
+        let node = members[self.frontier.schedule().rank].0;
+        let bulk = BulkStream::new(node, members.len(), traffic);
         HostBarrierApp { bulk, ..self }
     }
 
     fn enter(&mut self, api: &mut GmApi<'_>) {
-        let (sends, done) = self.runner.begin();
-        self.issue(api, sends, done);
+        self.frontier.enter();
+        self.advance(api);
     }
 
-    fn issue(&mut self, api: &mut GmApi<'_>, sends: HostSends, done: bool) {
-        let epoch = self.runner.current_epoch();
-        for (dst_rank, round) in sends {
-            api.send(
-                self.members[dst_rank],
-                BARRIER_MSG_BYTES,
-                encode_tag(epoch, round),
-            );
-        }
-        if !done {
-            return;
-        }
-        match self
-            .log
-            .complete(api.now(), self.iters, self.skew_us, api.rng())
-        {
-            Reentry::Now => self.enter(api),
-            Reentry::After(delay) => api.set_timer(delay),
-            Reentry::Stop => {}
+    /// Send every round the frontier releases, straight into GM; on
+    /// completion, record it and re-enter as the log's rule says.
+    fn advance(&mut self, api: &mut GmApi<'_>) {
+        loop {
+            match self.frontier.advance(|()| {}) {
+                Advance::Blocked => return,
+                Advance::Send { epoch, round } => {
+                    let f = &self.frontier;
+                    for &dst_rank in &f.schedule().rounds[round].sends {
+                        let tag = encode_tag(epoch, round);
+                        api.send(f.members()[dst_rank], BARRIER_MSG_BYTES, tag);
+                    }
+                }
+                Advance::Done { .. } => {
+                    match self
+                        .log
+                        .complete(api.now(), self.iters, self.skew_us, api.rng())
+                    {
+                        Reentry::Now => {}
+                        Reentry::After(delay) => {
+                            api.set_timer(delay);
+                            return;
+                        }
+                        Reentry::Stop => return,
+                    }
+                    self.frontier.enter();
+                }
+            }
         }
     }
 }
@@ -318,8 +193,8 @@ impl GmApp for HostBarrierApp {
             return;
         }
         let (epoch, round) = decode_tag(tag);
-        let (sends, done) = self.runner.on_msg(epoch, round, &self.members, src);
-        self.issue(api, sends, done);
+        self.frontier.arrive(epoch, round, src, ());
+        self.advance(api);
     }
 
     fn on_send_done(&mut self, api: &mut GmApi<'_>, msg_id: MsgId) {
@@ -382,11 +257,6 @@ impl GmApp for CollOpApp {
 mod tests {
     use super::*;
 
-    /// Identity rank → node map of an `n`-rank group.
-    fn nodes(n: usize) -> Vec<NodeId> {
-        (0..n).map(NodeId).collect()
-    }
-
     #[test]
     fn tag_round_trip() {
         let t = encode_tag(123_456, 7);
@@ -397,98 +267,5 @@ mod tests {
     #[should_panic(expected = "epoch too large")]
     fn tag_overflow_rejected() {
         encode_tag(1 << 24, 0);
-    }
-
-    #[test]
-    fn runner_walks_dissemination_rounds() {
-        // rank 0 of 4: sends to 1 then 2; receives from 3 then 2.
-        let mut r = HostScheduleRunner::new(Schedule::dissemination(4, 0));
-        let (sends, done) = r.begin();
-        assert_eq!(sends, vec![(1, 0)]);
-        assert!(!done);
-        let (sends, done) = r.on_msg(0, 0, &nodes(4), NodeId(3));
-        assert_eq!(sends, vec![(2, 1)]);
-        assert!(!done);
-        let (sends, done) = r.on_msg(0, 1, &nodes(4), NodeId(2));
-        assert!(sends.is_empty());
-        assert!(done);
-        assert_eq!(r.completed(), 1);
-    }
-
-    #[test]
-    fn runner_banks_early_next_epoch_messages() {
-        let mut r = HostScheduleRunner::new(Schedule::dissemination(2, 0));
-        let (_, done) = r.begin();
-        assert!(!done);
-        // Peer races: both its epoch-0 and epoch-1 messages arrive.
-        let (_, done) = r.on_msg(0, 0, &nodes(2), NodeId(1));
-        assert!(done);
-        let (s, d) = r.on_msg(1, 0, &nodes(2), NodeId(1));
-        assert!(s.is_empty() && !d, "future epoch banked, not applied");
-        // Entering epoch 1 releases it immediately.
-        let (sends, done) = r.begin();
-        assert_eq!(sends.len(), 1);
-        assert!(done);
-        assert_eq!(r.completed(), 2);
-    }
-
-    #[test]
-    fn runner_ignores_duplicates() {
-        let mut r = HostScheduleRunner::new(Schedule::dissemination(4, 0));
-        let _ = r.begin();
-        let (s1, _) = r.on_msg(0, 0, &nodes(4), NodeId(3));
-        assert_eq!(s1.len(), 1);
-        let (s2, d2) = r.on_msg(0, 0, &nodes(4), NodeId(3));
-        assert!(s2.is_empty() && !d2);
-    }
-
-    #[test]
-    #[should_panic(expected = "unexpected sender NodeId(1) in round 0")]
-    fn runner_rejects_a_member_outside_its_round() {
-        let mut r = HostScheduleRunner::new(Schedule::dissemination(4, 0));
-        let _ = r.begin();
-        let _ = r.on_msg(0, 0, &nodes(4), NodeId(1));
-    }
-
-    #[test]
-    fn runner_waits_for_all_64_senders() {
-        // The root of a 64-ary gather-broadcast over 65 ranks hears from
-        // all 64 children in round 0 before it releases the broadcast.
-        let n = 65;
-        let mut r = HostScheduleRunner::new(Schedule::gather_broadcast(n, 0, 64));
-        let (sends, done) = r.begin();
-        assert!(sends.is_empty() && !done);
-        for child in 1..n {
-            let (sends, done) = r.on_msg(0, 0, &nodes(n), NodeId(child));
-            if child < 64 {
-                assert!(sends.is_empty() && !done, "released after {child} of 64");
-            } else {
-                assert_eq!(sends.len(), 64, "broadcast to every child");
-                assert!(done);
-            }
-        }
-        assert_eq!(r.completed(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "round 0 expects more than 64 messages; widen the bit vector")]
-    fn runner_rejects_65_senders() {
-        let _ = HostScheduleRunner::new(Schedule::gather_broadcast(66, 0, 65));
-    }
-
-    #[test]
-    fn trivial_single_rank_barrier() {
-        let mut r = HostScheduleRunner::new(Schedule::dissemination(1, 0));
-        let (sends, done) = r.begin();
-        assert!(sends.is_empty());
-        assert!(done);
-    }
-
-    #[test]
-    #[should_panic(expected = "re-entered")]
-    fn runner_rejects_reentry() {
-        let mut r = HostScheduleRunner::new(Schedule::dissemination(4, 0));
-        let _ = r.begin();
-        let _ = r.begin();
     }
 }

@@ -7,10 +7,12 @@
 //!
 //! * [`schedule`] — the barrier algorithms of §5 (dissemination,
 //!   pairwise-exchange, gather-broadcast) plus the binomial broadcast tree,
-//!   as validated round schedules.
+//!   as validated round schedules, and [`schedule::RoundFrontier`], the one
+//!   executor of the round rule: epoch counters, send frontier and the
+//!   parity-banked arrival bit vectors.
 //! * [`protocol`] — the collective protocol engine of §3/§6: per-group
-//!   queues, static packets, bit-vector bookkeeping, receiver-driven NACK
-//!   retransmission; plugged into the GM NIC via
+//!   queues, static packets, payloads over the frontier's bit vectors,
+//!   receiver-driven NACK retransmission; plugged into the GM NIC via
 //!   [`nicbar_gm::NicCollective`]. Also the §9 extension collectives
 //!   (broadcast, allreduce, allgather).
 //! * [`elan_chain`] — §7's Quadrics lowering: schedules compiled to chained
@@ -21,7 +23,9 @@
 //!   under a bulk stream), the host-based baseline (optionally under the
 //!   same stream), the Elanlib `elan_gsync`/`elan_hgsync` comparators and
 //!   the §7 NIC-thread collectives. They share one completion log and one
-//!   re-entry rule ([`host_app::BarrierLog::complete`]).
+//!   re-entry rule ([`host_app::BarrierLog::complete`]); the host baseline
+//!   and the NIC thread run their schedules on the protocol engine's
+//!   [`schedule::RoundFrontier`].
 //! * [`scenario`] — the measurement harness reproducing the paper's
 //!   methodology (§8): one plain [`Scenario`] value (barrier kind, N,
 //!   algorithm, [`RunCfg`], load) with one `build` → `drain` → `harvest`

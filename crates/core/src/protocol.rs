@@ -10,8 +10,9 @@
 //! * **a static, padded send packet** carrying one integer (no buffer
 //!   claim, no payload DMA),
 //! * **one send record with a bit vector** over the expected messages —
-//!   here the per-round arrival masks (`RoundArrivals`) plus the
-//!   `sent_payloads` vector, replacing per-packet send records,
+//!   here the per-round arrival bit vectors of the group's
+//!   [`RoundFrontier`] plus the `sent_payloads` vector, replacing
+//!   per-packet send records,
 //! * **receiver-driven retransmission**: no ACKs; a receiver stalled past
 //!   the group timeout NACKs exactly the senders whose round messages are
 //!   missing, and the sender retransmits from its static packet. This
@@ -22,26 +23,26 @@
 //! future-work collectives — broadcast, allreduce and allgather — by
 //! attaching payload semantics to the identical round-schedule machinery.
 //!
-//! ## Epoch overlap
+//! ## What the frontier does, and what is left here
 //!
-//! Consecutive operations overlap: a neighbour can enter epoch `e+1` while
-//! this NIC is still in `e`. Packets carry `(group, epoch, round)`; arrivals
-//! for a future epoch are *banked* and consumed when the host's doorbell
-//! opens that epoch. A simple induction (completion of epoch `e` requires
-//! every rank's entry into `e`) bounds arrivals to `host_epoch + 1`, so the
-//! banking window is at most one epoch deep — asserted in debug builds.
+//! Each group runs one [`RoundFrontier`] with the packet payload
+//! ([`CollKind`]) as its arrival type: the frontier owns the epoch
+//! counters, the send frontier and the parity-banked arrival slots, so
+//! epoch overlap (a neighbour entering `e+1` while this NIC is still in
+//! `e`, arrivals banked at most one epoch deep) is the frontier's rule, the
+//! same one the host-based barrier and the Elan NIC thread run. This engine
+//! adds what is its own: what each payload means, what each send carries,
+//! the `sent_payloads`/archive record that serves NACKs, the NACK timer and
+//! observability.
 //!
 //! ## Allocation-free steady state
 //!
-//! The one-epoch banking bound means at most two epochs' arrivals coexist,
-//! so banking needs no map: a fixed array of `2 × num_rounds` slots indexed
-//! by `(epoch parity, round)` holds every arrival, with each slot's payload
-//! vector sized once at construction. The per-epoch `sent_payloads` vector
-//! rotates through a two-deep recycle (live → archive → spare → live), so a
-//! barrier in steady state touches the heap zero times per operation — the
-//! root `alloc_steady` test counts.
+//! The frontier's slots are sized once at construction. The per-epoch
+//! `sent_payloads` vector rotates through a two-deep recycle (live →
+//! archive → spare → live), so a barrier in steady state touches the heap
+//! zero times per operation — the root `alloc_steady` test counts.
 
-use crate::schedule::{Algorithm, Schedule};
+use crate::schedule::{Advance, Algorithm, Arrival, RoundFrontier, Schedule};
 use nicbar_gm::{
     ActionBuf, AllToAllItem, CollAction, CollKind, CollOperand, CollPacket, GroupId, NicCollective,
 };
@@ -161,26 +162,10 @@ impl GroupSpec {
     }
 }
 
-/// Per-(epoch parity, round) arrival bookkeeping: the paper's bit vector.
-///
-/// Because banking is at most one epoch deep (module docs), two epochs'
-/// arrivals never share a parity, so a fixed `2 × num_rounds` array of these
-/// slots replaces a keyed map. `epoch` tags which epoch currently owns the
-/// slot; a slot is recycled in place (mask cleared, payloads zeroed) when an
-/// arrival two epochs later claims it.
-#[derive(Clone, Debug, Default)]
-struct RoundSlot {
-    epoch: u64,
-    mask: u64,
-    payloads: Vec<Option<CollKind>>,
-}
-
-/// The in-progress epoch.
+/// The in-progress epoch's payload state. Its epoch number and send
+/// frontier live in the group's [`RoundFrontier`].
 #[derive(Clone, Debug)]
 struct LiveEpoch {
-    epoch: u64,
-    /// Next round whose sends have not been issued.
-    next_send_round: usize,
     /// Accumulator (bcast value / reduce partial / unused for barrier).
     acc: u64,
     /// Allgather state: contribution per rank.
@@ -203,16 +188,18 @@ struct LiveEpoch {
 /// One group's protocol state.
 #[derive(Clone)]
 struct GroupState {
-    spec: GroupSpec,
-    schedule: Schedule,
-    /// Number of doorbells seen (next expected doorbell epoch).
-    host_epoch: u64,
-    /// Epochs fully completed.
-    completed: u64,
+    // The group's `GroupSpec`, less its membership (the frontier holds it)
+    // and its algorithm (already compiled into the frontier's schedule).
+    id: GroupId,
+    my_rank: usize,
+    op: GroupOp,
+    timeout: SimTime,
+    /// Membership, epoch counters, send frontier and the parity-banked
+    /// arrival bit vectors, each arrival carrying its packet's payload.
+    frontier: RoundFrontier<CollKind>,
+    /// Payload state of the live epoch; `Some` exactly while the frontier
+    /// has a live epoch.
     live: Option<LiveEpoch>,
-    /// Arrival slots indexed `(epoch & 1) * num_rounds + round`; payload
-    /// vectors sized once at construction, reused forever.
-    slots: Vec<RoundSlot>,
     /// Epoch whose sent payloads `archive` holds, for late NACKs. Exactly
     /// one epoch deep: a NACK for anything older can only come from a
     /// requester that has itself already completed that epoch (it reached
@@ -234,29 +221,47 @@ struct GroupState {
     fault_skip_payload_record: bool,
 }
 
+/// Fold one consumed arrival's payload into the live epoch's state.
+fn fold_payload(op: GroupOp, my_rank: usize, live: &mut LiveEpoch, payload: CollKind) {
+    match (op, payload) {
+        (GroupOp::Barrier, CollKind::Barrier) => {}
+        (GroupOp::Broadcast { .. }, CollKind::Bcast { value }) => {
+            live.acc = value;
+        }
+        (GroupOp::Allreduce { op }, CollKind::Reduce { value }) => {
+            live.acc = op.combine(live.acc, value);
+        }
+        (GroupOp::Allgather, CollKind::Gather { base_rank, values }) => {
+            let n = live.gathered.len();
+            for (k, v) in values.into_iter().enumerate() {
+                let r = (base_rank as usize + k) % n;
+                live.gathered[r] = Some(v);
+            }
+        }
+        (GroupOp::Alltoall, CollKind::AllToAll { items }) => {
+            for item in items {
+                if item.dst as usize == my_rank {
+                    live.row[item.origin as usize] = Some(item.value);
+                } else {
+                    live.held.push(item);
+                }
+            }
+        }
+        (op, payload) => {
+            panic!("payload {payload:?} does not match group op {op:?}")
+        }
+    }
+}
+
 impl GroupState {
     fn new(spec: GroupSpec) -> Self {
-        let schedule = spec.build_schedule();
-        for (r, plan) in schedule.rounds.iter().enumerate() {
-            assert!(
-                plan.recv_from.len() <= 64,
-                "round {r} expects more than 64 messages; widen the bit vector"
-            );
-        }
-        let slots = (0..2 * schedule.num_rounds())
-            .map(|i| RoundSlot {
-                epoch: 0,
-                mask: 0,
-                payloads: vec![None; schedule.rounds[i % schedule.num_rounds()].recv_from.len()],
-            })
-            .collect();
         GroupState {
-            spec,
-            schedule,
-            host_epoch: 0,
-            completed: 0,
+            id: spec.id,
+            my_rank: spec.my_rank,
+            op: spec.op,
+            timeout: spec.timeout,
+            frontier: RoundFrontier::new(spec.build_schedule(), spec.members),
             live: None,
-            slots,
             archive_epoch: None,
             archive: Vec::new(),
             spare_payloads: Vec::new(),
@@ -268,83 +273,17 @@ impl GroupState {
     }
 
     fn n(&self) -> usize {
-        self.spec.members.len()
-    }
-
-    fn slot_index(&self, epoch: u64, round: usize) -> usize {
-        (epoch & 1) as usize * self.schedule.num_rounds() + round
-    }
-
-    fn round_satisfied(&self, epoch: u64, round: usize) -> bool {
-        let expected = self.schedule.rounds[round].recv_from.len();
-        if expected == 0 {
-            return true;
-        }
-        let full: u64 = if expected == 64 {
-            u64::MAX
-        } else {
-            (1u64 << expected) - 1
-        };
-        let slot = &self.slots[self.slot_index(epoch, round)];
-        slot.epoch == epoch && slot.mask & full == full
-    }
-
-    /// Fold the consumed round's payloads into the accumulator state.
-    fn consume_round(&mut self, epoch: u64, round: usize) {
-        if self.schedule.rounds[round].recv_from.is_empty() {
-            return;
-        }
-        let idx = self.slot_index(epoch, round);
-        let GroupState {
-            spec, live, slots, ..
-        } = self;
-        let slot = &mut slots[idx];
-        debug_assert_eq!(
-            slot.epoch, epoch,
-            "consuming a round the slot does not hold"
-        );
-        slot.mask = 0;
-        let live = live.as_mut().expect("consume without live epoch");
-        for payload in slot.payloads.iter_mut().filter_map(Option::take) {
-            match (&spec.op, payload) {
-                (GroupOp::Barrier, CollKind::Barrier) => {}
-                (GroupOp::Broadcast { .. }, CollKind::Bcast { value }) => {
-                    live.acc = value;
-                }
-                (GroupOp::Allreduce { op }, CollKind::Reduce { value }) => {
-                    live.acc = op.combine(live.acc, value);
-                }
-                (GroupOp::Allgather, CollKind::Gather { base_rank, values }) => {
-                    let n = live.gathered.len();
-                    for (k, v) in values.into_iter().enumerate() {
-                        let r = (base_rank as usize + k) % n;
-                        live.gathered[r] = Some(v);
-                    }
-                }
-                (GroupOp::Alltoall, CollKind::AllToAll { items }) => {
-                    for item in items {
-                        if item.dst as usize == spec.my_rank {
-                            live.row[item.origin as usize] = Some(item.value);
-                        } else {
-                            live.held.push(item);
-                        }
-                    }
-                }
-                (op, payload) => {
-                    panic!("payload {payload:?} does not match group op {op:?}")
-                }
-            }
-        }
+        self.frontier.members().len()
     }
 
     /// Build the payload for a send in `round`, removing in-transit items
     /// that move this phase (alltoall).
     fn payload_for_round(&mut self, round: usize) -> CollKind {
-        if matches!(self.spec.op, GroupOp::Alltoall) {
+        if matches!(self.op, GroupOp::Alltoall) {
             // Bruck phase m: forward every held item whose remaining
             // distance to its destination has bit m set.
             let n = self.n();
-            let me = self.spec.my_rank;
+            let me = self.my_rank;
             let live = self.live.as_mut().expect("send without live epoch");
             let (moving, staying): (Vec<_>, Vec<_>) = live.held.drain(..).partition(|item| {
                 let remaining = (item.dst as usize + n - me) % n;
@@ -354,7 +293,7 @@ impl GroupState {
             return CollKind::AllToAll { items: moving };
         }
         let live = self.live.as_ref().expect("send without live epoch");
-        match self.spec.op {
+        match self.op {
             GroupOp::Barrier => CollKind::Barrier,
             GroupOp::Broadcast { .. } => CollKind::Bcast { value: live.acc },
             GroupOp::Allreduce { .. } => CollKind::Reduce { value: live.acc },
@@ -363,7 +302,7 @@ impl GroupState {
                 // truncated to the n − 2^m entries the receiver still lacks.
                 let n = self.n();
                 let len = (1usize << round).min(n - (1usize << round));
-                let me = self.spec.my_rank;
+                let me = self.my_rank;
                 let base = (me + n - (len - 1)) % n;
                 let values: Vec<u64> = (0..len)
                     .map(|k| {
@@ -383,7 +322,7 @@ impl GroupState {
     /// The operation result delivered with `HostDone`.
     fn result(&self) -> u64 {
         let live = self.live.as_ref().expect("result without live epoch");
-        match self.spec.op {
+        match self.op {
             GroupOp::Barrier => 0,
             GroupOp::Broadcast { .. } | GroupOp::Allreduce { .. } => live.acc,
             GroupOp::Allgather => live
@@ -408,134 +347,77 @@ impl GroupState {
     /// on completion, the host notification.
     fn try_progress(&mut self, now: SimTime, my_node: NodeId, actions: &mut ActionBuf) {
         loop {
-            let Some(live) = self.live.as_ref() else {
+            let GroupState {
+                op,
+                my_rank,
+                frontier,
+                live,
+                ..
+            } = self;
+            let Some(live) = live.as_mut() else {
                 return;
             };
-            let epoch = live.epoch;
             let cause = live.cause;
-            let r = live.next_send_round;
-            if r > 0 && !self.round_satisfied(epoch, r - 1) {
-                return; // stalled: waiting for round r-1 arrivals
-            }
-            if r > 0 {
-                self.consume_round(epoch, r - 1);
-            }
-            if r == self.schedule.num_rounds() {
-                // Every round's arrivals consumed and all sends issued.
-                let value = self.result();
-                if matches!(self.spec.op, GroupOp::Alltoall) {
-                    let row = self
-                        .live
-                        .as_ref()
-                        .expect("checked above")
-                        .row
-                        .iter()
-                        .map(|v| v.expect("checked in result()"))
-                        .collect();
-                    self.rows_history.push(row);
-                }
-                let live = self.live.take().expect("checked above");
-                // Rotate the payload storage: the just-sent vector becomes
-                // the archive (serving late NACKs for this epoch), and the
-                // vector it displaces is cleared and kept as the spare the
-                // next doorbell will reuse. Steady state: two vectors, zero
-                // allocations.
-                let mut retired = std::mem::replace(&mut self.archive, live.sent_payloads);
-                self.archive_epoch = Some(epoch);
-                retired.clear();
-                self.spare_payloads = retired;
-                self.completed = epoch + 1;
-                actions.push(CollAction::HostDone {
-                    group: self.spec.id,
-                    epoch,
-                    value,
-                    cause,
-                });
-                return;
-            }
-            // Issue round r's sends.
-            let payload = if self.schedule.rounds[r].sends.is_empty() {
-                None
-            } else {
-                Some(self.payload_for_round(r))
-            };
-            let live = self.live.as_mut().expect("checked above");
-            live.sent_payloads[r] = if self.fault_skip_payload_record {
-                None // injected bug: send without the bit-vector/payload record
-            } else {
-                payload.clone()
-            };
-            if let Some(kind) = payload {
-                for &dst_rank in &self.schedule.rounds[r].sends {
-                    let dst = self.spec.members[dst_rank];
-                    actions.push(CollAction::Send {
-                        dst,
-                        pkt: CollPacket {
-                            src: my_node,
-                            group: self.spec.id,
-                            epoch,
-                            round: u16::try_from(r).expect("round exceeds u16 tag width"),
-                            kind: kind.clone(),
-                        },
-                        retx: false,
+            match frontier.advance(|payload| fold_payload(*op, *my_rank, live, payload)) {
+                Advance::Blocked => return,
+                Advance::Done { epoch } => {
+                    // Every round's arrivals consumed and all sends issued.
+                    let value = self.result();
+                    let live = self.live.take().expect("checked above");
+                    if matches!(self.op, GroupOp::Alltoall) {
+                        let row = live.row.iter().map(|v| v.expect("checked in result()"));
+                        self.rows_history.push(row.collect());
+                    }
+                    // Rotate the payload storage: the just-sent vector
+                    // becomes the archive (serving late NACKs for this
+                    // epoch), and the vector it displaces is cleared and
+                    // kept as the spare the next doorbell will reuse. Steady
+                    // state: two vectors, zero allocations.
+                    let mut retired = std::mem::replace(&mut self.archive, live.sent_payloads);
+                    self.archive_epoch = Some(epoch);
+                    retired.clear();
+                    self.spare_payloads = retired;
+                    actions.push(CollAction::HostDone {
+                        group: self.id,
+                        epoch,
+                        value,
                         cause,
                     });
+                    return;
+                }
+                Advance::Send { epoch, round: r } => {
+                    let payload = if self.frontier.schedule().rounds[r].sends.is_empty() {
+                        None
+                    } else {
+                        Some(self.payload_for_round(r))
+                    };
+                    let live = self.live.as_mut().expect("checked above");
+                    live.sent_payloads[r] = if self.fault_skip_payload_record {
+                        None // injected bug: send without the bit-vector/payload record
+                    } else {
+                        payload.clone()
+                    };
+                    live.last_progress = now;
+                    let Some(kind) = payload else {
+                        continue;
+                    };
+                    for &dst_rank in &self.frontier.schedule().rounds[r].sends {
+                        actions.push(CollAction::Send {
+                            dst: self.frontier.members()[dst_rank],
+                            pkt: CollPacket {
+                                src: my_node,
+                                group: self.id,
+                                epoch,
+                                round: u16::try_from(r).expect("round exceeds u16 tag width"),
+                                kind: kind.clone(),
+                            },
+                            retx: false,
+                            cause,
+                        });
+                    }
                 }
             }
-            live.next_send_round += 1;
-            live.last_progress = now;
         }
-    }
-
-    /// The bit-vector slot of `pkt` within its round: the paper's NIC
-    /// matches an arrival against the round's expected senders, never
-    /// against the whole group (see [`Schedule::sender_slot`]).
-    ///
-    /// # Panics
-    /// If the round is outside the schedule, or `pkt.src` is not one of the
-    /// round's expected senders (a non-member included).
-    fn slot_of(&self, pkt: &CollPacket) -> usize {
-        let round = pkt.round as usize;
-        assert!(round < self.schedule.num_rounds(), "round out of schedule");
-        self.schedule
-            .sender_slot(round, &self.spec.members, pkt.src)
-            .unwrap_or_else(|| {
-                panic!(
-                    "{:?} is not an expected sender in round {round} (group {:?})",
-                    pkt.src, self.spec.id
-                )
-            })
-    }
-
-    /// Record an arrival (any epoch) in bit-vector slot `slot` of its round;
-    /// duplicates are idempotent.
-    fn bank(&mut self, pkt: &CollPacket, slot: usize) {
-        let round = pkt.round as usize;
-        let idx = self.slot_index(pkt.epoch, round);
-        let entry = &mut self.slots[idx];
-        if entry.epoch != pkt.epoch {
-            // Recycle the slot in place. Safe because banking is one epoch
-            // deep: before any epoch-e arrival lands, epoch e−2 (the slot's
-            // previous same-parity owner) has completed locally, so its
-            // arrivals were consumed; any residue here is duplicate
-            // retransmissions of a finished epoch.
-            debug_assert!(
-                entry.mask == 0 || entry.epoch + 2 <= pkt.epoch,
-                "parity slot collision: epoch {} arrivals over unconsumed epoch {}",
-                pkt.epoch,
-                entry.epoch
-            );
-            entry.epoch = pkt.epoch;
-            entry.mask = 0;
-            for p in entry.payloads.iter_mut() {
-                *p = None;
-            }
-        }
-        if entry.mask & (1u64 << slot) != 0 {
-            return; // duplicate retransmission
-        }
-        entry.mask |= 1u64 << slot;
-        entry.payloads[slot] = Some(pkt.kind.clone());
     }
 }
 
@@ -587,7 +469,7 @@ impl PaperCollective {
 
     /// Completed epochs for a group (test observability).
     pub fn completed_epochs(&self, id: GroupId) -> u64 {
-        self.groups[&id].completed
+        self.groups[&id].frontier.completed()
     }
 
     /// Completed alltoall rows (per epoch, indexed by origin rank).
@@ -601,10 +483,10 @@ impl PaperCollective {
         let round = pkt.round as usize;
         let requester = pkt.src;
         debug_assert!(
-            state.schedule.rounds[round]
+            state.frontier.schedule().rounds[round]
                 .sends
                 .iter()
-                .any(|&r| state.spec.members[r] == requester),
+                .any(|&r| state.frontier.members()[r] == requester),
             "NACK from a non-target of round {round}"
         );
         // Locate the payload we sent (or would send) for (epoch, round).
@@ -614,8 +496,8 @@ impl PaperCollective {
                 .flatten()
         };
         let payload: Option<CollKind> = if let Some(live) = state.live.as_ref() {
-            if live.epoch == pkt.epoch {
-                if round < live.next_send_round {
+            if state.frontier.live_epoch() == Some(pkt.epoch) {
+                if round < state.frontier.next_send_round() {
                     live.sent_payloads[round].clone()
                 } else {
                     None // not sent yet; the normal path will deliver it
@@ -683,16 +565,16 @@ impl PaperCollective {
         let mut h = Fnv(0xcbf2_9ce4_8422_2325);
         for (id, g) in &self.groups {
             id.hash(&mut h);
-            g.host_epoch.hash(&mut h);
-            g.completed.hash(&mut h);
+            g.frontier.entered().hash(&mut h);
+            g.frontier.completed().hash(&mut h);
             g.archive_epoch.hash(&mut h);
             g.archive.hash(&mut h);
             match g.live.as_ref() {
                 None => 0u8.hash(&mut h),
                 Some(l) => {
                     1u8.hash(&mut h);
-                    l.epoch.hash(&mut h);
-                    l.next_send_round.hash(&mut h);
+                    g.frontier.live_epoch().expect("live").hash(&mut h);
+                    g.frontier.next_send_round().hash(&mut h);
                     l.acc.hash(&mut h);
                     l.gathered.hash(&mut h);
                     l.held.hash(&mut h);
@@ -700,11 +582,7 @@ impl PaperCollective {
                     l.sent_payloads.hash(&mut h);
                 }
             }
-            for s in &g.slots {
-                s.epoch.hash(&mut h);
-                s.mask.hash(&mut h);
-                s.payloads.hash(&mut h);
-            }
+            g.frontier.hash_slots(&mut h);
             g.fault_skip_payload_record.hash(&mut h);
         }
         h.finish()
@@ -727,71 +605,34 @@ impl PaperCollective {
     /// the hot path; these cover the same ground and more, off it).
     pub fn check_invariants(&self) -> Result<(), String> {
         for (id, g) in &self.groups {
-            if g.completed > g.host_epoch {
+            g.frontier
+                .check()
+                .map_err(|e| format!("group {id:?}: {e}"))?;
+            if g.live.is_some() != g.frontier.live_epoch().is_some() {
                 return Err(format!(
-                    "group {id:?}: completed {} epochs but host only entered {}",
-                    g.completed, g.host_epoch
+                    "group {id:?}: live payload state {} while the frontier has live epoch {:?}",
+                    if g.live.is_some() {
+                        "present"
+                    } else {
+                        "absent"
+                    },
+                    g.frontier.live_epoch()
                 ));
             }
             if let Some(l) = g.live.as_ref() {
-                if l.epoch + 1 != g.host_epoch {
-                    return Err(format!(
-                        "group {id:?}: live epoch {} does not match host epoch {}",
-                        l.epoch, g.host_epoch
-                    ));
-                }
-                if l.next_send_round > g.schedule.num_rounds() {
-                    return Err(format!(
-                        "group {id:?}: send frontier {} beyond the {}-round schedule",
-                        l.next_send_round,
-                        g.schedule.num_rounds()
-                    ));
-                }
-                if l.sent_payloads.len() != g.schedule.num_rounds() {
+                let schedule = g.frontier.schedule();
+                if l.sent_payloads.len() != schedule.num_rounds() {
                     return Err(format!(
                         "group {id:?}: sent_payloads sized {} for a {}-round schedule",
                         l.sent_payloads.len(),
-                        g.schedule.num_rounds()
+                        schedule.num_rounds()
                     ));
                 }
-                for r in 0..l.next_send_round {
-                    if !g.schedule.rounds[r].sends.is_empty() && l.sent_payloads[r].is_none() {
+                for r in 0..g.frontier.next_send_round() {
+                    if !schedule.rounds[r].sends.is_empty() && l.sent_payloads[r].is_none() {
                         return Err(format!(
                             "group {id:?}: round {r} sends issued without a sent_payloads \
                              record — NACKs for this round can never be served"
-                        ));
-                    }
-                }
-            }
-            for (i, s) in g.slots.iter().enumerate() {
-                let round = i % g.schedule.num_rounds();
-                let expected = g.schedule.rounds[round].recv_from.len();
-                let full: u64 = if expected == 0 {
-                    0
-                } else if expected == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << expected) - 1
-                };
-                if s.mask & !full != 0 {
-                    return Err(format!(
-                        "group {id:?}: slot {i} bit vector {:#x} has bits beyond the {} \
-                         expected senders of round {round}",
-                        s.mask, expected
-                    ));
-                }
-                for (slot, p) in s.payloads.iter().enumerate() {
-                    let have = s.mask & (1u64 << slot) != 0;
-                    if have && p.is_none() {
-                        return Err(format!(
-                            "group {id:?}: slot {i} mask bit {slot} set without a banked \
-                             payload"
-                        ));
-                    }
-                    if !have && p.is_some() {
-                        return Err(format!(
-                            "group {id:?}: slot {i} holds a payload at {slot} outside its \
-                             bit vector"
                         ));
                     }
                 }
@@ -823,19 +664,16 @@ impl NicCollective for PaperCollective {
         let my_node = self.node;
         let state = self.group_mut(group);
         assert_eq!(
-            epoch, state.host_epoch,
+            epoch,
+            state.frontier.entered(),
             "doorbell epoch out of order (group {group:?})"
         );
-        assert!(
-            state.live.is_none(),
-            "host entered group {group:?} before the previous operation completed"
-        );
-        state.host_epoch += 1;
+        state.frontier.enter();
         let n = state.n();
-        let me = state.spec.my_rank;
+        let me = state.my_rank;
         let mut gathered = vec![
             None;
-            if matches!(state.spec.op, GroupOp::Allgather) {
+            if matches!(state.op, GroupOp::Allgather) {
                 n
             } else {
                 0
@@ -843,7 +681,7 @@ impl NicCollective for PaperCollective {
         ];
         let mut held = Vec::new();
         let mut row = Vec::new();
-        let acc = match state.spec.op {
+        let acc = match state.op {
             GroupOp::Barrier => 0,
             GroupOp::Broadcast { root } => {
                 if me == root {
@@ -881,15 +719,13 @@ impl NicCollective for PaperCollective {
                 0
             }
         };
-        let rounds = state.schedule.num_rounds();
+        let rounds = state.frontier.schedule().num_rounds();
         // Reuse the vector retired by the completion before last; only the
         // first two doorbells ever allocate it.
         let mut sent_payloads = std::mem::take(&mut state.spare_payloads);
         sent_payloads.clear();
         sent_payloads.resize(rounds, None);
         state.live = Some(LiveEpoch {
-            epoch,
-            next_send_round: 0,
             acc,
             gathered,
             held,
@@ -917,21 +753,15 @@ impl NicCollective for PaperCollective {
         }
         let my_node = self.node;
         let state = self.group_mut(pkt.group);
-        let slot = state.slot_of(pkt);
-        debug_assert!(
-            pkt.epoch <= state.host_epoch,
-            "arrival more than one epoch ahead (epoch {}, host at {})",
-            pkt.epoch,
-            state.host_epoch
-        );
-        if pkt.epoch < state.completed {
+        let round = pkt.round as usize;
+        let kind = pkt.kind.clone();
+        if state.frontier.arrive(pkt.epoch, round, pkt.src, kind) == Arrival::Stale {
             return; // stale duplicate of a finished epoch
         }
-        state.bank(pkt, slot);
         // This arrival is the epoch's latest stimulus: anything the
         // progress sweep emits was enabled (last) by it.
         if let Some(live) = state.live.as_mut() {
-            if live.epoch == pkt.epoch {
+            if state.frontier.live_epoch() == Some(pkt.epoch) {
                 live.cause = cause;
             }
         }
@@ -944,42 +774,34 @@ impl NicCollective for PaperCollective {
             let Some(live) = state.live.as_ref() else {
                 continue;
             };
-            if now.saturating_sub(live.last_progress) < state.spec.timeout {
+            if now.saturating_sub(live.last_progress) < state.timeout {
                 continue;
             }
-            let epoch = live.epoch;
+            let epoch = state.frontier.live_epoch().expect("live payload state");
             // Timer NACKs are a detour off the stalled epoch: parent them on
             // the record that last advanced it, so the analyzer's chain shows
             // stall → nack → retransmit → arrival in causal order.
             let stall_cause = live.cause;
-            let r = live.next_send_round;
+            let r = state.frontier.next_send_round();
             if r == 0 {
                 continue; // nothing expected yet
             }
             let stall_round = r - 1;
-            let idx = state.slot_index(epoch, stall_round);
-            let have = {
-                let bank = &state.slots[idx];
-                if bank.epoch == epoch {
-                    bank.mask
-                } else {
-                    0
-                }
-            };
-            // Indexed iteration, not a clone of `recv_from`: the NACK path
-            // must not allocate either (a lossy steady state is still a
-            // steady state).
-            for slot in 0..state.schedule.rounds[stall_round].recv_from.len() {
-                if have & (1u64 << slot) != 0 {
+            let have = state.frontier.arrived(epoch, stall_round);
+            let expected = &state.frontier.schedule().rounds[stall_round].recv_from;
+            // Iterate the schedule in place, not a clone of `recv_from`: the
+            // NACK path must not allocate either (a lossy steady state is
+            // still a steady state).
+            for (bit, &sender_rank) in expected.iter().enumerate() {
+                if have & (1u64 << bit) != 0 {
                     continue;
                 }
-                let sender_rank = state.schedule.rounds[stall_round].recv_from[slot];
                 state.nacks_sent += 1;
                 actions.push(CollAction::Send {
-                    dst: state.spec.members[sender_rank],
+                    dst: state.frontier.members()[sender_rank],
                     pkt: CollPacket {
                         src: my_node,
-                        group: state.spec.id,
+                        group: state.id,
                         epoch,
                         round: u16::try_from(stall_round).expect("round exceeds u16 tag width"),
                         kind: CollKind::Nack,
@@ -996,7 +818,7 @@ impl NicCollective for PaperCollective {
     fn next_deadline(&self) -> Option<SimTime> {
         self.groups
             .values()
-            .filter_map(|s| s.live.as_ref().map(|l| l.last_progress + s.spec.timeout))
+            .filter_map(|s| s.live.as_ref().map(|l| l.last_progress + s.timeout))
             .min()
     }
 }

@@ -1,14 +1,26 @@
-//! Communication schedules for the barrier (and extension) algorithms.
+//! Communication schedules for the barrier (and extension) algorithms, and
+//! the one executor that runs them round by round.
 //!
 //! A [`Schedule`] is one rank's view of a round-synchronous communication
 //! pattern: in round `r` it sends to `sends[r]` and expects messages from
-//! `recv_from[r]`. The execution rule — shared by the GM collective engine,
-//! the Elan chain builder and the host-based baselines — is:
+//! `recv_from[r]`. The execution rule is:
 //!
 //! > the sends of round `r` may be issued once the process has entered the
 //! > operation and every expected message of rounds `< r` has arrived; the
 //! > operation completes when every expected message of every round has
 //! > arrived and all sends are issued.
+//!
+//! [`RoundFrontier`] is that rule, written once. It counts entered and
+//! completed epochs, holds the live epoch's send frontier, and banks
+//! arrivals in `2 × rounds` parity slots, one `u64` bit vector each (the
+//! paper's §3 bit vector; the `myflags[parity][round]` layout of the MCS
+//! dissemination barrier). Its three executors differ only in what they do
+//! around it: the GM protocol engine ([`crate::protocol`]) attaches payload
+//! semantics and NACKs, the host-based barrier ([`crate::host_app`]) turns
+//! each due round into point-to-point sends, and the Elan NIC thread
+//! ([`crate::elan_thread`]) folds values into its accumulator. The Elan
+//! chain builder ([`crate::elan_chain`]) compiles the same rule into
+//! counting events instead.
 //!
 //! Three barrier algorithms from §5 of the paper are provided —
 //! [`Schedule::dissemination`], [`Schedule::pairwise_exchange`] and
@@ -19,6 +31,8 @@
 //! entry causally precedes every rank's exit).
 
 use nicbar_net::NodeId;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// One rank's plan for one round.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -378,6 +392,331 @@ pub fn disseminates(schedules: &[Schedule]) -> bool {
     knows.iter().all(|k| k.iter().all(|&b| b))
 }
 
+/// Where [`RoundFrontier::arrive`] put an arrival.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Arrival {
+    /// Recorded in its round's bit vector.
+    Banked,
+    /// Its sender's bit was already set: a retransmission, ignored.
+    Duplicate,
+    /// Its epoch already completed here: a late duplicate, ignored.
+    Stale,
+}
+
+/// The next move of a [`RoundFrontier`] (see [`RoundFrontier::advance`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Advance {
+    /// Round `round`'s sends of the live `epoch` are due now.
+    Send {
+        /// The live epoch.
+        epoch: u64,
+        /// The round whose sends are due.
+        round: usize,
+    },
+    /// The live `epoch` completed: every round's arrivals were consumed and
+    /// every send was issued.
+    Done {
+        /// The epoch that completed.
+        epoch: u64,
+    },
+    /// Waiting for an arrival, or no epoch is live.
+    Blocked,
+}
+
+/// One round's arrivals for the epoch that owns the slot: the bit vector
+/// over the round's expected senders, and what each of them carried.
+#[derive(Clone, Debug)]
+struct RoundSlot<P> {
+    epoch: u64,
+    mask: u64,
+    payloads: Vec<Option<P>>,
+}
+
+/// One rank running its [`Schedule`] over consecutive epochs: the module's
+/// execution rule, with arrivals of type `P` (`()` when a message carries
+/// nothing the rank keeps).
+///
+/// Consecutive epochs overlap: a peer can enter epoch `e + 1` while this
+/// rank is still in `e`, and an arrival can precede this rank's own entry.
+/// Completing epoch `e` anywhere requires every rank's entry into `e`, so
+/// no arrival is ever more than one epoch ahead of this rank's entries, and
+/// at most two epochs' arrivals coexist. A fixed array of `2 × rounds`
+/// slots indexed by `(epoch parity, round)` therefore holds every arrival,
+/// each slot's payload vector sized once at construction: banking needs no
+/// map and touches the heap zero times per epoch.
+///
+/// ```
+/// use nicbar_core::schedule::{Advance, RoundFrontier, Schedule};
+/// use nicbar_net::NodeId;
+///
+/// // Rank 0 of a 2-rank barrier: send to rank 1, hear from rank 1.
+/// let members = [NodeId(0), NodeId(1)];
+/// let mut f = RoundFrontier::<()>::new(Schedule::dissemination(2, 0), members.into());
+/// f.enter();
+/// assert_eq!(f.advance(|_| {}), Advance::Send { epoch: 0, round: 0 });
+/// assert_eq!(f.advance(|_| {}), Advance::Blocked);
+/// f.arrive(0, 0, NodeId(1), ());
+/// assert_eq!(f.advance(|_| {}), Advance::Done { epoch: 0 });
+/// ```
+#[derive(Clone, Debug)]
+pub struct RoundFrontier<P> {
+    schedule: Schedule,
+    /// Rank → node, shared by every rank of the group.
+    members: Arc<[NodeId]>,
+    /// Epochs entered (the next epoch to enter).
+    entered: u64,
+    /// Epochs completed.
+    completed: u64,
+    /// The live epoch's next round whose sends have not been issued.
+    next_send_round: usize,
+    /// Arrival slots indexed `(epoch & 1) * rounds + round`.
+    slots: Vec<RoundSlot<P>>,
+}
+
+impl<P> RoundFrontier<P> {
+    /// The frontier of `schedule`'s rank in a group placed on `members`
+    /// (rank → node, rank order). Pass every rank a clone of one `Arc` to
+    /// keep the build linear in the group size.
+    ///
+    /// # Panics
+    /// If a round expects more than 64 senders: a round's bit vector is
+    /// one `u64`.
+    pub fn new(schedule: Schedule, members: Arc<[NodeId]>) -> Self {
+        for (r, plan) in schedule.rounds.iter().enumerate() {
+            assert!(
+                plan.recv_from.len() <= 64,
+                "round {r} expects more than 64 messages; widen the bit vector"
+            );
+        }
+        let rounds = schedule.num_rounds();
+        let slots = (0..2 * rounds)
+            .map(|i| RoundSlot {
+                epoch: 0,
+                mask: 0,
+                payloads: (0..schedule.rounds[i % rounds].recv_from.len())
+                    .map(|_| None)
+                    .collect(),
+            })
+            .collect();
+        RoundFrontier {
+            schedule,
+            members,
+            entered: 0,
+            completed: 0,
+            next_send_round: 0,
+            slots,
+        }
+    }
+
+    /// The rank's schedule.
+    pub fn schedule(&self) -> &Schedule {
+        &self.schedule
+    }
+
+    /// Rank → node of the group.
+    pub fn members(&self) -> &[NodeId] {
+        &self.members
+    }
+
+    /// Epochs entered so far: the number of the next epoch to enter.
+    pub fn entered(&self) -> u64 {
+        self.entered
+    }
+
+    /// Epochs completed so far.
+    pub fn completed(&self) -> u64 {
+        self.completed
+    }
+
+    /// The epoch entered and not yet completed, if any.
+    pub fn live_epoch(&self) -> Option<u64> {
+        (self.entered > self.completed).then(|| self.entered - 1)
+    }
+
+    /// The live epoch's next round whose sends have not been issued.
+    pub fn next_send_round(&self) -> usize {
+        self.next_send_round
+    }
+
+    fn slot_index(&self, epoch: u64, round: usize) -> usize {
+        (epoch & 1) as usize * self.schedule.num_rounds() + round
+    }
+
+    /// The bit vector of a complete round: one bit per expected sender (0
+    /// for a round that expects nothing).
+    fn full_mask(&self, round: usize) -> u64 {
+        match self.schedule.rounds[round].recv_from.len() {
+            64 => u64::MAX,
+            expected => (1u64 << expected) - 1,
+        }
+    }
+
+    /// The bit vector of `round`'s arrivals banked for `epoch`.
+    pub fn arrived(&self, epoch: u64, round: usize) -> u64 {
+        let slot = &self.slots[self.slot_index(epoch, round)];
+        if slot.epoch == epoch {
+            slot.mask
+        } else {
+            0
+        }
+    }
+
+    /// Enter the next epoch; [`Self::advance`] then issues what is due.
+    ///
+    /// # Panics
+    /// If the previous epoch has not completed.
+    pub fn enter(&mut self) {
+        assert!(
+            self.live_epoch().is_none(),
+            "re-entered before the previous operation completed"
+        );
+        self.next_send_round = 0;
+        self.entered += 1;
+    }
+
+    /// Bank an arrival of `epoch` from node `src` in `round`, whatever
+    /// epoch is live. The sender resolves to its bit through the round's
+    /// expected senders ([`Schedule::sender_slot`]), never the group.
+    ///
+    /// # Panics
+    /// If the round is outside the schedule, or `src` is not one of the
+    /// round's expected senders (a non-member included).
+    pub fn arrive(&mut self, epoch: u64, round: usize, src: NodeId, payload: P) -> Arrival {
+        assert!(round < self.schedule.num_rounds(), "round out of schedule");
+        let bit = self
+            .schedule
+            .sender_slot(round, &self.members, src)
+            .unwrap_or_else(|| {
+                panic!(
+                    "unexpected sender {src:?} in round {round}: not an expected sender in \
+                     round {round} of rank {}",
+                    self.schedule.rank
+                )
+            });
+        debug_assert!(
+            epoch <= self.entered,
+            "arrival more than one epoch ahead (epoch {epoch}, entered {})",
+            self.entered
+        );
+        if epoch < self.completed {
+            return Arrival::Stale;
+        }
+        let idx = self.slot_index(epoch, round);
+        let slot = &mut self.slots[idx];
+        if slot.epoch != epoch {
+            // Recycle the slot in place. Safe because banking is one epoch
+            // deep: before any epoch-e arrival lands, epoch e−2 (the slot's
+            // previous same-parity owner) has completed locally, so its
+            // arrivals were consumed; any residue here is duplicate
+            // retransmissions of a finished epoch.
+            debug_assert!(
+                slot.mask == 0 || slot.epoch + 2 <= epoch,
+                "parity slot collision: epoch {epoch} arrivals over unconsumed epoch {}",
+                slot.epoch
+            );
+            slot.epoch = epoch;
+            slot.mask = 0;
+            for p in slot.payloads.iter_mut() {
+                *p = None;
+            }
+        }
+        if slot.mask & (1u64 << bit) != 0 {
+            return Arrival::Duplicate;
+        }
+        slot.mask |= 1u64 << bit;
+        slot.payloads[bit] = Some(payload);
+        Arrival::Banked
+    }
+
+    /// Move the live epoch's frontier one step. When round `r − 1` is
+    /// complete, its payloads go to `consume` in sender order and its bits
+    /// clear; then either round `r`'s sends are due or, past the last
+    /// round, the epoch is done. Call until [`Advance::Blocked`].
+    pub fn advance(&mut self, mut consume: impl FnMut(P)) -> Advance {
+        let Some(epoch) = self.live_epoch() else {
+            return Advance::Blocked;
+        };
+        let r = self.next_send_round;
+        let full = if r > 0 { self.full_mask(r - 1) } else { 0 };
+        if full != 0 {
+            let idx = self.slot_index(epoch, r - 1);
+            let slot = &mut self.slots[idx];
+            if slot.epoch != epoch || slot.mask & full != full {
+                return Advance::Blocked; // waiting for round r-1 arrivals
+            }
+            slot.mask = 0;
+            slot.payloads
+                .iter_mut()
+                .filter_map(Option::take)
+                .for_each(&mut consume);
+        }
+        if r == self.schedule.num_rounds() {
+            self.completed = epoch + 1;
+            return Advance::Done { epoch };
+        }
+        self.next_send_round = r + 1;
+        Advance::Send { epoch, round: r }
+    }
+
+    /// Check the frontier's invariants: no more epochs completed than
+    /// entered, the send frontier inside the schedule, and every slot's bit
+    /// vector within its round's senders and in step with its payloads.
+    pub fn check(&self) -> Result<(), String> {
+        if self.completed > self.entered {
+            return Err(format!(
+                "completed {} epochs but only entered {}",
+                self.completed, self.entered
+            ));
+        }
+        let rounds = self.schedule.num_rounds();
+        if self.next_send_round > rounds {
+            return Err(format!(
+                "send frontier {} beyond the {rounds}-round schedule",
+                self.next_send_round
+            ));
+        }
+        for (i, s) in self.slots.iter().enumerate() {
+            let round = i % rounds;
+            let full = self.full_mask(round);
+            if s.mask & !full != 0 {
+                return Err(format!(
+                    "slot {i} bit vector {:#x} has bits beyond the {} expected senders of \
+                     round {round}",
+                    s.mask,
+                    full.count_ones()
+                ));
+            }
+            for (bit, p) in s.payloads.iter().enumerate() {
+                let have = s.mask & (1u64 << bit) != 0;
+                if have && p.is_none() {
+                    return Err(format!(
+                        "slot {i} mask bit {bit} set without a banked payload"
+                    ));
+                }
+                if !have && p.is_some() {
+                    return Err(format!(
+                        "slot {i} holds a payload at {bit} outside its bit vector"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Feed every slot's epoch, bit vector and payloads to `h`, in slot
+    /// order (state fingerprints).
+    pub fn hash_slots<H: Hasher>(&self, h: &mut H)
+    where
+        P: Hash,
+    {
+        for s in &self.slots {
+            s.epoch.hash(h);
+            s.mask.hash(h);
+            s.payloads.hash(h);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -551,6 +890,172 @@ mod tests {
             "member, not a sender this round"
         );
         assert_eq!(s.sender_slot(r, &members, NodeId(99)), None, "non-member");
+    }
+
+    /// Identity rank → node map of an `n`-rank group.
+    fn nodes(n: usize) -> Arc<[NodeId]> {
+        (0..n).map(NodeId).collect()
+    }
+
+    /// The frontier of `schedule`'s rank over the identity placement.
+    fn frontier(schedule: Schedule) -> RoundFrontier<()> {
+        let n = schedule.n;
+        RoundFrontier::new(schedule, nodes(n))
+    }
+
+    /// Advance until the frontier blocks or completes: the sends released,
+    /// as `(destination rank, round)`, and whether the epoch completed.
+    fn drive(f: &mut RoundFrontier<()>) -> (Vec<(usize, usize)>, bool) {
+        let mut sends = Vec::new();
+        loop {
+            match f.advance(|()| {}) {
+                Advance::Send { round, .. } => {
+                    let dsts = &f.schedule().rounds[round].sends;
+                    sends.extend(dsts.iter().map(|&dst| (dst, round)));
+                }
+                Advance::Done { .. } => return (sends, true),
+                Advance::Blocked => return (sends, false),
+            }
+        }
+    }
+
+    /// Enter the next epoch and drive it.
+    fn begin(f: &mut RoundFrontier<()>) -> (Vec<(usize, usize)>, bool) {
+        f.enter();
+        drive(f)
+    }
+
+    /// Bank an arrival and drive the live epoch.
+    fn on_msg(
+        f: &mut RoundFrontier<()>,
+        epoch: u64,
+        round: usize,
+        src: NodeId,
+    ) -> (Vec<(usize, usize)>, bool) {
+        f.arrive(epoch, round, src, ());
+        drive(f)
+    }
+
+    #[test]
+    fn frontier_walks_dissemination_rounds() {
+        // rank 0 of 4: sends to 1 then 2; receives from 3 then 2.
+        let mut r = frontier(Schedule::dissemination(4, 0));
+        let (sends, done) = begin(&mut r);
+        assert_eq!(sends, vec![(1, 0)]);
+        assert!(!done);
+        let (sends, done) = on_msg(&mut r, 0, 0, NodeId(3));
+        assert_eq!(sends, vec![(2, 1)]);
+        assert!(!done);
+        let (sends, done) = on_msg(&mut r, 0, 1, NodeId(2));
+        assert!(sends.is_empty());
+        assert!(done);
+        assert_eq!(r.completed(), 1);
+    }
+
+    #[test]
+    fn frontier_banks_early_next_epoch_messages() {
+        let mut r = frontier(Schedule::dissemination(2, 0));
+        let (_, done) = begin(&mut r);
+        assert!(!done);
+        // Peer races: both its epoch-0 and epoch-1 messages arrive.
+        let (_, done) = on_msg(&mut r, 0, 0, NodeId(1));
+        assert!(done);
+        let (s, d) = on_msg(&mut r, 1, 0, NodeId(1));
+        assert!(s.is_empty() && !d, "future epoch banked, not applied");
+        // Entering epoch 1 releases it immediately.
+        let (sends, done) = begin(&mut r);
+        assert_eq!(sends.len(), 1);
+        assert!(done);
+        assert_eq!(r.completed(), 2);
+    }
+
+    #[test]
+    fn frontier_ignores_duplicates() {
+        let mut r = frontier(Schedule::dissemination(4, 0));
+        let _ = begin(&mut r);
+        let (s1, _) = on_msg(&mut r, 0, 0, NodeId(3));
+        assert_eq!(s1.len(), 1);
+        let (s2, d2) = on_msg(&mut r, 0, 0, NodeId(3));
+        assert!(s2.is_empty() && !d2);
+    }
+
+    #[test]
+    fn frontier_classifies_arrivals() {
+        let mut r = frontier(Schedule::dissemination(2, 0));
+        let _ = begin(&mut r);
+        assert_eq!(r.arrive(0, 0, NodeId(1), ()), Arrival::Banked);
+        assert_eq!(r.arrive(0, 0, NodeId(1), ()), Arrival::Duplicate);
+        assert!(drive(&mut r).1);
+        assert_eq!(r.arrive(0, 0, NodeId(1), ()), Arrival::Stale);
+    }
+
+    #[test]
+    #[should_panic(expected = "unexpected sender NodeId(1) in round 0")]
+    fn frontier_rejects_a_member_outside_its_round() {
+        let mut r = frontier(Schedule::dissemination(4, 0));
+        let _ = begin(&mut r);
+        let _ = on_msg(&mut r, 0, 0, NodeId(1));
+    }
+
+    #[test]
+    fn frontier_waits_for_all_64_senders() {
+        // The root of a 64-ary gather-broadcast over 65 ranks hears from
+        // all 64 children in round 0 before it releases the broadcast.
+        let n = 65;
+        let mut r = frontier(Schedule::gather_broadcast(n, 0, 64));
+        let (sends, done) = begin(&mut r);
+        assert!(sends.is_empty() && !done);
+        for child in 1..n {
+            let (sends, done) = on_msg(&mut r, 0, 0, NodeId(child));
+            if child < 64 {
+                assert!(sends.is_empty() && !done, "released after {child} of 64");
+            } else {
+                assert_eq!(sends.len(), 64, "broadcast to every child");
+                assert!(done);
+            }
+        }
+        assert_eq!(r.completed(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "round 0 expects more than 64 messages; widen the bit vector")]
+    fn frontier_rejects_65_senders() {
+        let _ = frontier(Schedule::gather_broadcast(66, 0, 65));
+    }
+
+    #[test]
+    fn trivial_single_rank_barrier() {
+        let mut r = frontier(Schedule::dissemination(1, 0));
+        let (sends, done) = begin(&mut r);
+        assert!(sends.is_empty());
+        assert!(done);
+    }
+
+    #[test]
+    #[should_panic(expected = "re-entered")]
+    fn frontier_rejects_reentry() {
+        let mut r = frontier(Schedule::dissemination(4, 0));
+        let _ = begin(&mut r);
+        let _ = begin(&mut r);
+    }
+
+    #[test]
+    fn frontier_folds_payloads_in_sender_order() {
+        // The gather-broadcast root hears from ranks 1 and 2 in one round.
+        let s = Schedule::gather_broadcast(3, 0, 2);
+        let mut f = RoundFrontier::<u64>::new(s, nodes(3));
+        f.enter();
+        assert!(matches!(f.advance(|_| {}), Advance::Send { round: 0, .. }));
+        f.arrive(0, 0, NodeId(2), 20);
+        f.arrive(0, 0, NodeId(1), 10);
+        let mut seen = Vec::new();
+        assert!(matches!(
+            f.advance(|v| seen.push(v)),
+            Advance::Send { round: 1, .. }
+        ));
+        assert_eq!(seen, vec![10, 20]);
+        assert_eq!(f.arrived(0, 0), 0, "consumed bits clear");
+        assert_eq!(f.check(), Ok(()));
     }
 
     #[test]

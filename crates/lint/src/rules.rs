@@ -138,6 +138,7 @@ impl Scope {
         let proto = matches!(
             path,
             "crates/core/src/protocol.rs"
+                | "crates/core/src/schedule.rs"
                 | "crates/core/src/host_app.rs"
                 | "crates/core/src/elan_thread.rs"
                 | "crates/core/src/elan_chain.rs"

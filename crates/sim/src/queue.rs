@@ -17,7 +17,7 @@
 //! ## Why a timing wheel
 //!
 //! Simulated delays here are nanoseconds to a few microseconds, so almost
-//! every event lands inside a small sliding window. [`WheelQueue`] exploits
+//! every event lands inside a small sliding window. `WheelQueue` exploits
 //! that: push links a slab node onto a per-nanosecond bucket kept sorted by
 //! subkey (almost always a tail append), pop unlinks the first node of the
 //! first occupied bucket (found by a 2048-bit bitmap scan), and a depth-1
@@ -40,7 +40,7 @@
 //! * **Indexed**: keys (16 bytes) live in one dense vector and are all the
 //!   sift loops ever touch; message payloads sit in a slab addressed by a
 //!   parallel `u32` slot vector, so growing `M` never slows the comparisons.
-//! * **Batched**: [`IndexedHeap::push_batch`] appends a whole burst of
+//! * **Batched**: `IndexedHeap::push_batch` appends a whole burst of
 //!   events and restores the heap in one pass, using Floyd's bottom-up
 //!   heapify when the batch dominates the existing contents.
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full local gate: release build, workspace tests, clippy with warnings
-# denied, formatting, static analysis, protocol model checking, and the
-# observability zero-overhead gate. Run from anywhere inside the repo.
+# denied, rustdoc with warnings denied, formatting, static analysis,
+# protocol model checking, and the observability zero-overhead gate. Run
+# from anywhere inside the repo.
 #
 # Every gate runs under the `gate` wrapper, which times it and prints a
 # per-gate wall-time summary at the end — so when the gate gets slow, the
@@ -64,22 +65,26 @@ skip_gate() {
     echo "check.sh: skipping $1: $2"
 }
 
-# Formatting covers our crates and the root `nicbar` package (src/, tests/,
-# examples/) only: vendor/* members are upstream code we keep
+# Formatting and docs cover our crates and the root `nicbar` package (src/,
+# tests/, examples/) only: vendor/* members are upstream code we keep
 # byte-identical, and rustfmt's `ignore` option is nightly-only.
-fmt_gate() {
-    local fmt_pkgs=(-p nicbar)
-    for manifest in crates/*/Cargo.toml; do
-        fmt_pkgs+=(-p "$(grep -m1 '^name' "$manifest" | sed 's/.*"\(.*\)"/\1/')")
-    done
-    cargo fmt "${fmt_pkgs[@]}" --check
-}
-gate "fmt" fmt_gate
+OWN_PKGS=(-p nicbar)
+for manifest in crates/*/Cargo.toml; do
+    OWN_PKGS+=(-p "$(grep -m1 '^name' "$manifest" | sed 's/.*"\(.*\)"/\1/')")
+done
+gate "fmt" cargo fmt "${OWN_PKGS[@]}" --check
 
 gate "build" cargo build --release --workspace
 gate "build-examples" cargo build --examples --workspace
 gate "test" cargo test -q --workspace
 gate "clippy" cargo clippy --workspace --all-targets -- -D warnings
+
+# Docs: rustdoc with warnings denied, so a broken or private intra-doc
+# link fails here instead of rotting unseen.
+doc_gate() {
+    RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps "${OWN_PKGS[@]}"
+}
+gate "doc" doc_gate
 
 # Static analysis: nicbar-lint enforces the determinism and protocol
 # invariants (rule catalogue in DESIGN.md). The fixture self-test runs

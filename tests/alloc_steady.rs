@@ -2,7 +2,9 @@
 //!
 //! The protocol engine, NIC models, and host dispatch all recycle scratch
 //! buffers, so after warm-up a NIC-based barrier epoch must not touch the
-//! heap at all. The proof is a delta measurement: drain one cluster
+//! heap at all. Neither may a host-based barrier epoch: its round frontier
+//! banks arrivals in fixed parity slots, and GM's point-to-point path
+//! recycles its tokens and packets. The proof is a delta measurement: drain one cluster
 //! configured for K measured iterations and one for 2K, counting allocator
 //! calls during each drain (construction excluded). Any per-epoch
 //! allocation would make the second count strictly larger; equality means
@@ -12,7 +14,9 @@
 //! `#[global_allocator]` is process-wide, and the single `#[test]` keeps
 //! the measurement windows free of concurrent test threads.
 
-use nicbar_core::{build_elan_nic_cluster, build_gm_nic_cluster, Algorithm, RunCfg};
+use nicbar_core::{
+    build_elan_nic_cluster, build_gm_nic_cluster, Algorithm, Barrier, RunCfg, Scenario,
+};
 use nicbar_elan::ElanParams;
 use nicbar_gm::{CollFeatures, GmParams};
 use nicbar_sim::{EngineSel, RunOutcome};
@@ -90,6 +94,18 @@ fn elan_drain_allocs(algo: Algorithm, iters: u64, engine: EngineSel, shards: usi
     after - before
 }
 
+/// Allocator calls made while draining a GM host-based barrier run.
+fn gm_host_drain_allocs(algo: Algorithm, iters: u64) -> u64 {
+    let params = GmParams::lanai_xp();
+    let cfg = cfg(iters, EngineSel::Sequential, 1);
+    let scenario = Scenario::new(Barrier::GmHost { params }, N, algo, cfg);
+    let mut cluster = scenario.build();
+    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    scenario.drain(&mut cluster);
+    let after = ALLOC_CALLS.load(Ordering::Relaxed);
+    after - before
+}
+
 fn assert_delta_free(substrate: &str, measure: impl Fn(u64) -> u64) {
     // Throwaway run: pays every process-global one-time allocation
     // (counter-name interning, lazy statics) outside the windows. Its
@@ -134,6 +150,14 @@ fn steady_state_barrier_allocates_nothing() {
     });
     assert_delta_free("elan NIC-PE", |iters| {
         elan_drain_allocs(Algorithm::PairwiseExchange, iters, EngineSel::Sequential, 1)
+    });
+    // The host-based baselines run the same schedules through GM's
+    // point-to-point layer, with the host dispatching every round.
+    assert_delta_free("gm host-DS", |iters| {
+        gm_host_drain_allocs(Algorithm::Dissemination, iters)
+    });
+    assert_delta_free("gm host-PE", |iters| {
+        gm_host_drain_allocs(Algorithm::PairwiseExchange, iters)
     });
     // The rank-sharded parallel engine must hold the same property: after
     // warm-up its windows run out of recycled scratch buffers and settled
